@@ -1,6 +1,7 @@
 """Hierarchical dual-level descriptor/detector point cloud registration."""
 
 from .cloud import (
+    NeighborGraph,
     PointCloud,
     RigidTransform,
     SpatialIndex,

@@ -1,8 +1,10 @@
 """Point cloud and rigid transform primitives plus a spatial index.
 
 Everything here is immutable after construction and safe to share across
-threads. Distances are Euclidean, radii are meters, radius queries use closed
-balls (boundary points included).
+threads. The spatial index memoises one read-only neighbour graph per radius,
+a pure function of (cloud, radius): threads racing on a radius build equal
+graphs, and either may be kept. Distances are Euclidean, radii are meters,
+radius queries use closed balls (boundary points included).
 """
 
 from __future__ import annotations
@@ -114,6 +116,24 @@ def invert(transform: RigidTransform) -> RigidTransform:
 
 
 @dataclass(frozen=True)
+class NeighborGraph:
+    """Closed-ball neighbourhoods in CSR form: row ``i`` is
+    ``indices[offsets[i]:offsets[i + 1]]`` in ascending point order, with each
+    member's distance from centre ``i`` in ``distances``."""
+
+    offsets: np.ndarray
+    indices: np.ndarray
+    distances: np.ndarray
+
+    @property
+    def counts(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def centers(self) -> np.ndarray:  # the row of every stored neighbour
+        return np.repeat(np.arange(len(self.offsets) - 1, dtype=np.intp), self.counts)
+
+
+@dataclass(frozen=True)
 class SpatialIndex:
     """Immutable accelerator for radius and k-nearest-neighbor queries.
 
@@ -123,24 +143,44 @@ class SpatialIndex:
 
     cloud: PointCloud
     _tree: cKDTree = field(repr=False)
+    _graphs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _graph(self, centers: np.ndarray, keys: np.ndarray, radius: float) -> NeighborGraph:
+        """Exact closed balls from kd-tree candidate keys ``row * n + point``."""
+        keys.sort()
+        rows, cols = np.divmod(keys, len(self.cloud))
+        diff = self.cloud.points[cols] - centers[rows]
+        # Compare in sqrt space so "distance of the k-th neighbor" computed
+        # by callers via np.linalg.norm lands inside its own closed ball.
+        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        keep = dist <= radius
+        offsets = np.searchsorted(rows[keep], np.arange(len(centers) + 1))
+        return NeighborGraph(offsets, cols[keep], dist[keep])
+
+    def neighbor_graph(self, radius: float) -> NeighborGraph:
+        """Closed-ball neighbourhood of every indexed point, memoised per radius."""
+        graph = self._graphs.get(radius)
+        if graph is None:
+            n = len(self.cloud)
+            pairs = self._tree.query_pairs(radius * _BALL_SLACK, output_type="ndarray")
+            i, j = pairs.astype(np.intp).T  # each unordered pair once, i < j
+            keys = np.concatenate([i * n + j, j * n + i, np.arange(n, dtype=np.intp) * (n + 1)])
+            graph = self._graph(self.cloud.points, keys, radius)
+            for array in (graph.offsets, graph.indices, graph.distances):
+                array.setflags(write=False)
+            self._graphs[radius] = graph
+        return graph
 
     def radius_batch(self, centers: np.ndarray, radius: float) -> list[np.ndarray]:
         """Closed-ball radius query for many centers at once (exact)."""
         centers = np.asarray(centers, dtype=np.float64)
-        raw = self._tree.query_ball_point(centers, radius * _BALL_SLACK,
-                                          return_sorted=True)
-        counts = np.fromiter((len(c) for c in raw), dtype=np.intp, count=len(raw))
-        if counts.sum() == 0:
-            return [np.empty(0, dtype=np.intp) for _ in raw]
-        flat = np.fromiter((i for cand in raw for i in cand),
-                           dtype=np.intp, count=int(counts.sum()))
-        rep = np.repeat(np.arange(len(raw), dtype=np.intp), counts)
-        diff = self.cloud.points[flat] - centers[rep]
-        # Compare in sqrt space so "distance of the k-th neighbor" computed
-        # by callers via np.linalg.norm lands inside its own closed ball.
-        keep = np.sqrt(np.einsum("ij,ij->i", diff, diff)) <= radius
-        kept_counts = np.bincount(rep[keep], minlength=len(raw))
-        return np.split(flat[keep], np.cumsum(kept_counts)[:-1])
+        if len(centers) == 0:
+            return []
+        found = cKDTree(centers).sparse_distance_matrix(
+            self._tree, radius * _BALL_SLACK, output_type="ndarray")
+        keys = found["i"].astype(np.intp) * len(self.cloud) + found["j"]
+        graph = self._graph(centers, keys, radius)
+        return np.split(graph.indices, graph.offsets[1:-1])
 
     def knn_batch(self, centers: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Raw kd-tree k-NN for many centers; no tie-break guarantee."""

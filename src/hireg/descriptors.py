@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy import sparse
 
-from .cloud import PointCloud, SpatialIndex, build_index, _require_nonempty
+from .cloud import NeighborGraph, PointCloud, SpatialIndex, build_index, _require_nonempty
 from .errors import ValidationError
 
 _UNIT_TOL = 1e-6
@@ -103,36 +104,20 @@ def feature_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def _neighbor_lists(index: SpatialIndex, radius: float) -> list[np.ndarray]:
-    return index.radius_batch(index.cloud.points, radius)
-
-
-def _flatten_pairs(neighborhoods: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    counts = np.array([len(nb) for nb in neighborhoods], dtype=np.intp)
-    centers = np.repeat(np.arange(len(neighborhoods), dtype=np.intp), counts)
-    members = np.concatenate(neighborhoods) if counts.sum() else np.empty(0, dtype=np.intp)
-    return centers, members
-
-
 def _neighborhood_covariances(points: np.ndarray,
-                              neighborhoods: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point covariance of the neighborhood (self included).
-
-    Returns (covariances (N,3,3), member counts (N,)).
-    """
+                              graph: NeighborGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Per-point neighborhood covariance (N,3,3) and member count (N,), self included."""
     n = points.shape[0]
-    centers, members = _flatten_pairs(neighborhoods)
-    counts = np.bincount(centers, minlength=n).astype(np.float64)
-    member_pts = points[members]
+    centers = graph.centers()
+    counts = graph.counts.astype(np.float64)
+    member_pts = points[graph.indices]
     sums = np.stack([np.bincount(centers, weights=member_pts[:, c], minlength=n)
                      for c in range(3)], axis=1)
     sq = np.empty((n, 3, 3))
     for a in range(3):
         for b in range(a, 3):
-            acc = np.bincount(centers, weights=member_pts[:, a] * member_pts[:, b],
-                              minlength=n)
-            sq[:, a, b] = acc
-            sq[:, b, a] = acc
+            sq[:, a, b] = sq[:, b, a] = np.bincount(
+                centers, weights=member_pts[:, a] * member_pts[:, b], minlength=n)
     safe = np.maximum(counts, 1.0)
     means = sums / safe[:, None]
     cov = sq / safe[:, None, None] - means[:, :, None] * means[:, None, :]
@@ -153,7 +138,7 @@ def estimate_normals(cloud: PointCloud, radius: float,
     if index is None:
         index = build_index(cloud)
     pts = cloud.points
-    cov, counts = _neighborhood_covariances(pts, _neighbor_lists(index, radius))
+    cov, counts = _neighborhood_covariances(pts, index.neighbor_graph(radius))
     _, vecs = np.linalg.eigh(cov)
     normals = vecs[:, :, 0].copy()
 
@@ -188,107 +173,46 @@ def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # index-sorted neighbor list keeps the subset deterministic and rigid
 # invariant while bounding the quadratic blowup on dense clouds.
 _MAX_CENTER_PAIRS = 96
+# Centres histogrammed per bincount call: every bin still sums its votes in
+# one pass and in order, while the per-pair temporaries stay bounded.
+_CHUNK_CENTERS = 256
 
 
-def _pairs_center(neighborhoods: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Center-to-neighbor pairs: (histogram row, pair source, pair target)."""
-    capped = []
-    for nb in neighborhoods:
-        if nb.size > _MAX_CENTER_PAIRS:
-            stride = int(np.ceil(nb.size / _MAX_CENTER_PAIRS))
-            nb = nb[::stride]
-        capped.append(nb)
-    centers, members = _flatten_pairs(capped)
-    keep = centers != members
-    return centers[keep], centers[keep], members[keep]
+def _full_pairs(graph: NeighborGraph, start: int, stop: int):
+    """(center, position of a, position of b) of every ordered pair a != b in
+    the neighborhoods of centers ``start:stop``, in (center, a, b) order."""
+    m = graph.counts[start:stop]
+    per = m * (m - 1)
+    k = np.arange(per.sum()) - np.repeat(np.cumsum(per) - per, per)
+    i, j = np.divmod(k, np.repeat(m - 1, per))
+    first = np.repeat(graph.offsets[start:stop], per)
+    return np.repeat(np.arange(start, stop), per), first + i, first + j + (j >= i)
 
 
-def _pairs_full(neighborhoods: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All ordered pairs within each neighborhood, attributed to its center."""
-    rows, sources, targets = [], [], []
-    for center, nb in enumerate(neighborhoods):
-        m = nb.size
-        if m < 2:
-            continue
-        a = np.repeat(nb, m)
-        b = np.tile(nb, m)
-        keep = a != b
-        rows.append(np.full(keep.sum(), center, dtype=np.intp))
-        sources.append(a[keep])
-        targets.append(b[keep])
-    if not rows:
-        empty = np.empty(0, dtype=np.intp)
-        return empty, empty.copy(), empty.copy()
-    return np.concatenate(rows), np.concatenate(sources), np.concatenate(targets)
-
-
-def _angular_histograms(points: np.ndarray, normals: np.ndarray,
-                        neighborhoods: list[np.ndarray], bins: int,
-                        full_pairs: bool, rings: int = 1,
-                        radius: float = 1.0) -> np.ndarray:
-    """Histogram of (alpha, phi, theta) pair angles per center point.
-
-    ``full_pairs`` histograms every ordered pair inside the neighborhood
-    (denser signal, quadratic cost; used for the small low-level field)
-    instead of only center-to-neighbor pairs. With ``rings`` > 1 a pair
-    votes into the radial ring of its member point's distance from the
-    center, so nearby points on weakly structured surfaces still get
-    distinct signatures.
-    """
-    n = points.shape[0]
-    if full_pairs:
-        centers, pair_src, members = _pairs_full(neighborhoods)
-    else:
-        centers, pair_src, members = _pairs_center(neighborhoods)
-    hist = np.zeros((n, 3 * bins * rings))
-    if centers.size == 0:
-        return hist
-
-    diff = points[members] - points[pair_src]
+def _pair_bins(points: np.ndarray, normals: np.ndarray, src: np.ndarray, dst: np.ndarray,
+               bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Soft-bin votes of ordered pairs' (alpha, phi, theta): the voting pairs
+    (not coincident, both normals set, not along the source normal) and their
+    (6, votes) left/right bin columns and masses within one ring's block."""
+    diff = points[dst] - points[src]
     dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    n_c = normals[pair_src]
-    n_m = normals[members]
-    valid = (
-        (dist > 1e-12)
-        & (np.einsum("ij,ij->i", n_c, n_c) > 0.5)
-        & (np.einsum("ij,ij->i", n_m, n_m) > 0.5)
-    )
-    centers, pair_src, members = centers[valid], pair_src[valid], members[valid]
-    if centers.size == 0:
-        return hist
-    diff, dist = diff[valid], dist[valid]
-    n_c, n_m = n_c[valid], n_m[valid]
-
-    d_unit = diff / dist[:, None]
+    n_c, n_m = normals[src], normals[dst]
+    voting = np.flatnonzero((dist > 1e-12) & (np.einsum("ij,ij->i", n_c, n_c) > 0.5)
+                            & (np.einsum("ij,ij->i", n_m, n_m) > 0.5))
+    d_unit = diff[voting] / dist[voting, None]
+    n_c, n_m = n_c[voting], n_m[voting]
     v = _cross_rows(d_unit, n_c)
     v_norm = np.sqrt(np.einsum("ij,ij->i", v, v))
     ok = v_norm > 1e-9
-    centers, pair_src, members = centers[ok], pair_src[ok], members[ok]
-    d_unit, v = d_unit[ok], v[ok] / v_norm[ok, None]
-    n_c, n_m = n_c[ok], n_m[ok]
-    if centers.size == 0:
-        return hist
+    voting, d_unit, n_c, n_m = voting[ok], d_unit[ok], n_c[ok], n_m[ok]
+    v = v[ok] / v_norm[ok, None]
     w = _cross_rows(n_c, v)
-
     alpha = np.einsum("ij,ij->i", v, n_m)
     phi = np.einsum("ij,ij->i", n_c, d_unit)
     theta = np.arctan2(np.einsum("ij,ij->i", w, n_m), np.einsum("ij,ij->i", n_c, n_m))
-
-    cols = 3 * bins * rings
-    if rings > 1:
-        off = points[members] - points[centers]
-        center_dist = np.sqrt(np.einsum("ij,ij->i", off, off))
-        ring_base = np.minimum((center_dist / radius * rings).astype(np.intp),
-                               rings - 1) * (3 * bins)
-    else:
-        ring_base = np.zeros(centers.size, dtype=np.intp)
-    row_base = centers * cols + ring_base
-
-    flat_indices = []
-    flat_weights = []
-
-    def accumulate(values: np.ndarray, lo: float, hi: float, offset: int,
-                   circular: bool) -> None:
+    cols, weights = [], []
+    for offset, values, lo, hi in ((0, alpha, -1.0, 1.0), (bins, phi, -1.0, 1.0),
+                                   (2 * bins, theta, -np.pi, np.pi)):
         # Linear soft binning: each value splits its unit mass between the
         # two nearest bin centers, so the histogram varies continuously with
         # the input. The angle feature wraps around instead of clamping.
@@ -296,30 +220,68 @@ def _angular_histograms(points: np.ndarray, normals: np.ndarray,
         left = np.floor(coord).astype(np.intp)
         frac = coord - left
         right = left + 1
-        if circular:
-            left %= bins
-            right %= bins
+        if values is theta:
+            left, right = left % bins, right % bins
         else:
-            left = np.clip(left, 0, bins - 1)
-            right = np.clip(right, 0, bins - 1)
-        flat_indices.append(row_base + offset + left)
-        flat_weights.append(1.0 - frac)
-        flat_indices.append(row_base + offset + right)
-        flat_weights.append(frac)
+            left, right = np.clip(left, 0, bins - 1), np.clip(right, 0, bins - 1)
+        cols += [offset + left, offset + right]
+        weights += [1.0 - frac, frac]
+    return voting, np.stack(cols), np.stack(weights)
 
-    accumulate(alpha, -1.0, 1.0, 0, circular=False)
-    accumulate(phi, -1.0, 1.0, bins, circular=False)
-    accumulate(theta, -np.pi, np.pi, 2 * bins, circular=True)
-    hist += np.bincount(np.concatenate(flat_indices),
-                        weights=np.concatenate(flat_weights),
-                        minlength=n * cols).reshape(n, cols)
+
+def _angular_histograms(points: np.ndarray, normals: np.ndarray, graph: NeighborGraph,
+                        bins: int, full_pairs: bool, rings: int = 1,
+                        radius: float = 1.0) -> np.ndarray:
+    """Histogram of (alpha, phi, theta) pair angles per center point.
+
+    ``full_pairs`` histograms every ordered pair inside the neighborhood
+    (denser signal, quadratic cost; used for the small low-level field)
+    instead of only center-to-neighbor pairs; a pair shared by several
+    neighborhoods has its angles computed once. With ``rings`` > 1 a pair
+    votes into the radial ring of its member point's distance from the center,
+    so nearby points on weakly structured surfaces get distinct signatures.
+    """
+    n, width = points.shape[0], 3 * bins * rings
+    if full_pairs:
+        # Every (a, b) that shares a neighborhood, as sorted keys a * n + b.
+        adjacency = sparse.csr_matrix(
+            (np.ones(len(graph.indices)), graph.indices, graph.offsets), shape=(n, n))
+        shared = (adjacency.T @ adjacency).tocsr().sorted_indices()
+        keys = np.repeat(np.arange(n, dtype=np.intp), np.diff(shared.indptr)) * n + shared.indices
+        voting, cols, weights = _pair_bins(points, normals, *np.divmod(keys, n), bins)
+        slots = np.full(len(keys), -1, dtype=np.intp)
+        slots[voting] = np.arange(len(voting))
+    else:
+        # Center-to-neighbor pairs, each neighbor list strided down to the cap.
+        centers, counts = graph.centers(), graph.counts
+        stride = np.where(counts > _MAX_CENTER_PAIRS, -(-counts // _MAX_CENTER_PAIRS), 1)
+        rank = np.arange(len(centers)) - graph.offsets[centers]
+        picked = np.flatnonzero((rank % stride[centers] == 0) & (graph.indices != centers))
+        centers = centers[picked]
+        voting, cols, weights = _pair_bins(points, normals, centers, graph.indices[picked], bins)
+        centers, picked = centers[voting], picked[voting]
+
+    hist = np.zeros((n, width))
+    for start in range(0, n, _CHUNK_CENTERS):
+        stop = min(start + _CHUNK_CENTERS, n)
+        if full_pairs:
+            center, pos_a, pos_b = _full_pairs(graph, start, stop)
+            slot = slots[np.searchsorted(keys, graph.indices[pos_a] * n + graph.indices[pos_b])]
+            keep = slot >= 0
+            center, pos_b, slot = center[keep], pos_b[keep], slot[keep]
+        else:
+            slot = np.arange(*np.searchsorted(centers, (start, stop)))
+            center, pos_b = centers[slot], picked[slot]
+        ring = np.minimum((graph.distances[pos_b] / radius * rings).astype(np.intp), rings - 1)
+        row_base = (center - start) * width + ring * (3 * bins)
+        votes = np.bincount((row_base + np.take(cols, slot, axis=1)).ravel(),
+                            np.take(weights, slot, axis=1).ravel(), (stop - start) * width)
+        hist[start:stop] = votes.reshape(stop - start, width)
     # Relative frequencies per block, so the histogram is invariant to
     # neighborhood size (sampling density varies between cloud pairs).
-    for block in range(3 * rings):
-        span = slice(block * bins, (block + 1) * bins)
-        totals = hist[:, span].sum(axis=1, keepdims=True)
-        hist[:, span] = np.where(totals > 0, hist[:, span] / np.maximum(totals, 1e-300), 0.0)
-    return hist
+    blocks = hist.reshape(n, 3 * rings, bins)
+    totals = blocks.sum(axis=2, keepdims=True)
+    return np.where(totals > 0, blocks / np.maximum(totals, 1e-300), 0.0).reshape(n, width)
 
 
 def compute_descriptors(cloud: PointCloud, level: Level, params: DescriptorParams,
@@ -342,16 +304,14 @@ def compute_descriptors(cloud: PointCloud, level: Level, params: DescriptorParam
         if normals.shape != cloud.points.shape:
             raise ValidationError("normals must match the cloud point-for-point")
 
-    neighborhoods = _neighbor_lists(index, params.radius(level))
-    features = _angular_histograms(
-        cloud.points, normals, neighborhoods, params.bins,
-        full_pairs=(level == Level.LOW),
-        rings=params.low_rings if level == Level.LOW else 1,
-        radius=params.radius(level),
-    )
+    low = level == Level.LOW
+    graph = index.neighbor_graph(params.radius(level))
+    features = _angular_histograms(cloud.points, normals, graph, params.bins, full_pairs=low,
+                                   rings=params.low_rings if low else 1,
+                                   radius=params.radius(level))
 
     if level == Level.HIGH:
-        cov, counts = _neighborhood_covariances(cloud.points, neighborhoods)
+        cov, counts = _neighborhood_covariances(cloud.points, graph)
         eigvals = np.linalg.eigvalsh(cov)[:, ::-1]  # descending
         trace = eigvals.sum(axis=1)
         shape = np.where(trace[:, None] > 0, eigvals / np.maximum(trace[:, None], 1e-300), 0.0)

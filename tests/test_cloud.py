@@ -4,16 +4,23 @@ Every query result is checked against an independent brute-force scan
 written with plain python loops.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from hireg import (
+    DescriptorParams,
+    Level,
     PointCloud,
     RigidTransform,
     ValidationError,
     apply_transform,
     build_index,
     compose,
+    compute_descriptors,
+    estimate_normals,
     invert,
     knn_query,
     radius_query,
@@ -238,3 +245,99 @@ class TestSpatialIndex:
             kth_dist = np.linalg.norm(points[nearest[-1]] - center)
             ball = set(radius_query(index, center, kth_dist).tolist())
             assert set(nearest.tolist()) <= ball
+
+
+class TestNeighborGraph:
+    def _assert_rows_match_radius_query(self, points, radius):
+        index = build_index(PointCloud(points))
+        graph = index.neighbor_graph(radius)
+        assert graph.offsets[0] == 0 and graph.offsets[-1] == len(graph.indices)
+        for i, center in enumerate(points):
+            row = slice(graph.offsets[i], graph.offsets[i + 1])
+            assert graph.indices[row].tolist() == radius_query(index, center, radius).tolist()
+            expected = np.linalg.norm(points[graph.indices[row]] - center, axis=1)
+            np.testing.assert_allclose(graph.distances[row], expected, rtol=1e-15, atol=0)
+
+    def test_rows_equal_radius_query(self, rng):
+        self._assert_rows_match_radius_query(rng.uniform(-1, 1, size=(300, 3)), 0.3)
+
+    def test_rows_include_points_on_the_boundary(self):
+        # Unit grid at radius 1: every face neighbor sits exactly on the sphere.
+        coords = np.array([[x, y, z] for x in range(3) for y in range(3) for z in range(3)],
+                          dtype=np.float64)
+        self._assert_rows_match_radius_query(coords, 1.0)
+        graph = build_index(PointCloud(coords)).neighbor_graph(1.0)
+        assert graph.counts[13] == 7
+
+    def test_same_radius_is_memoised(self, rng):
+        index = build_index(PointCloud(rng.normal(size=(50, 3))))
+        graph = index.neighbor_graph(0.5)
+        assert index.neighbor_graph(0.5) is graph
+        assert not graph.indices.flags.writeable
+
+    def test_radii_never_collide(self, rng):
+        points = rng.uniform(-1, 1, size=(200, 3))
+        index = build_index(PointCloud(points))
+        small, large = index.neighbor_graph(0.2), index.neighbor_graph(0.4)
+        assert small is not large
+        assert index.neighbor_graph(0.2) is small
+        assert len(small.indices) < len(large.indices)
+        fresh = build_index(PointCloud(points))
+        for radius, graph in ((0.2, small), (0.4, large)):
+            assert np.array_equal(graph.indices, fresh.neighbor_graph(radius).indices)
+
+    def test_shared_normal_and_low_radius_query_once(self, rng):
+        class CountingTree:
+            def __init__(self, tree):
+                self.tree, self.queries = tree, 0
+
+            def __getattr__(self, name):
+                self.queries += 1
+                return getattr(self.tree, name)
+
+        cloud = PointCloud(rng.uniform(0, 0.5, size=(300, 3)))
+        params = DescriptorParams()
+        assert params.normal_radius == params.low_radius
+        index = build_index(cloud)
+        tree = CountingTree(index._tree)
+        object.__setattr__(index, "_tree", tree)
+        normals = estimate_normals(cloud, params.normal_radius, index=index)
+        for level in (Level.LOW, Level.HIGH):
+            compute_descriptors(cloud, level, params, normals, index)
+        # One query per distinct radius: normal == low, then high.
+        assert tree.queries == 2
+
+    def test_threads_racing_on_the_memo_get_equal_graphs(self, rng):
+        points = rng.uniform(-1, 1, size=(400, 3))
+        radii = (0.1, 0.2, 0.3)
+        expected = {r: build_index(PointCloud(points)).neighbor_graph(r) for r in radii}
+        index = build_index(PointCloud(points))
+        seen, errors = [], []
+
+        def worker():
+            try:
+                for radius in radii * 3:
+                    seen.append((radius, index.neighbor_graph(radius)))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and len(seen) == 6 * 9
+        for radius, graph in seen:
+            for name in ("offsets", "indices", "distances"):
+                assert np.array_equal(getattr(graph, name), getattr(expected[radius], name))
+        assert set(index._graphs) == set(radii)
+
+    def test_radius_batch_without_centers(self, rng):
+        index = build_index(PointCloud(rng.normal(size=(5, 3))))
+        assert index.radius_batch(np.empty((0, 3)), 0.5) == []
