@@ -13,6 +13,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -143,32 +144,24 @@ def cmd_bench(args) -> int:
     failures: list[dict] = []
     workers = _threads()
     for count in samples:
-        jobs = []
-        for i, entry in enumerate(entries):
-            pair_id = entry.get("id", f"pair-{i}")
-            jobs.append((entry, config, count, pair_id))
-        rows = [None] * len(jobs)
+        jobs = [(entry, config, count, entry.get("id", f"pair-{i}"))
+                for i, entry in enumerate(entries)]
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 futures = [pool.submit(_bench_pair, *job) for job in jobs]
-                for i, future in enumerate(futures):
-                    try:
-                        rows[i] = future.result()
-                    except Exception as exc:
-                        if not args.keep_going:
-                            raise
-                        failures.append({"pair": jobs[i][3], "samples": count,
-                                         "error": f"{type(exc).__name__}: {exc}"})
-        else:
-            for i, job in enumerate(jobs):
-                try:
-                    rows[i] = _bench_pair(*job)
-                except Exception as exc:
-                    if not args.keep_going:
-                        raise
-                    failures.append({"pair": job[3], "samples": count,
-                                     "error": f"{type(exc).__name__}: {exc}"})
-        blocks[count] = [r for r in rows if r is not None]
+            calls = [future.result for future in futures]
+        else:  # serial: a failure aborts before the next pair runs
+            calls = [partial(_bench_pair, *job) for job in jobs]
+        rows = []
+        for job, call in zip(jobs, calls):
+            try:
+                rows.append(call())
+            except Exception as exc:
+                if not args.keep_going:
+                    raise
+                failures.append({"pair": job[3], "samples": count,
+                                 "error": f"{type(exc).__name__}: {exc}"})
+        blocks[count] = rows
         if not blocks[count]:
             raise ValidationError(f"all pairs failed at sample count {count}")
 

@@ -6,6 +6,19 @@ labels, the 4-level dual keypoint rankings, rating regression losses, overlap
 labels/loss, and the total objective. Every differentiable loss returns its
 analytic gradient; gradients are the testable contract here, no optimizer is
 involved.
+
+The losses and labels run on one flattened layout of the per-anchor sample
+sets, the CSR idea of ``cloud.NeighborGraph``: slot ``s`` of a batch owns rows
+``offsets[s]:offsets[s + 1]``, and every row names its slot and its target
+index. Feature distances are taken per row as ``sqrt(add.reduce(diff * diff,
+axis=1))`` over fixed chunks of rows, which is what ``np.linalg.norm(axis=1)``
+computes, so each row's distance is the one a per-anchor loop would get.
+Per-anchor totals are a pairwise ``.sum()`` over each slot's contiguous
+slice, as the per-anchor ``e.sum()`` was: ``np.add.reduceat`` and
+``np.bincount`` add a segment sequentially, which rounds differently and
+changes the last bits of per-anchor loss terms. Gradients come from one
+sparse weight matrix per sample kind, with rows for anchors and columns for
+target points.
 """
 
 from __future__ import annotations
@@ -14,6 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy import sparse
 
 from .cloud import PointCloud, RigidTransform, build_index, transform_points
 from .descriptors import DescriptorSet
@@ -24,6 +38,9 @@ from .errors import (
 )
 
 _CLAMP = 1e-7
+# Rows of the flattened (anchor, target) layout whose feature differences
+# are held at once; two such buffers stay in cache during a distance pass.
+_CHUNK_ROWS = 1024
 
 
 class NegativeMode(str, Enum):
@@ -144,17 +161,22 @@ def build_sample_batch(source: PointCloud, target: PointCloud, gt: RigidTransfor
         anchors = eligible
     anchors = anchors.astype(np.intp)
 
-    all_idx = np.arange(len(target), dtype=np.intp)
-    r_l2 = radii.local_negative ** 2
-    r_g2 = radii.global_negative ** 2
-    local_sets: list[np.ndarray] = []
-    global_sets: list[np.ndarray] = []
-    for point, inside in zip(aligned[anchors],
-                             index.radius_batch(aligned[anchors], radii.global_negative)):
-        d2 = np.einsum("ij,ij->i", target.points[inside] - point,
-                       target.points[inside] - point)
-        local_sets.append(inside[(d2 > r_l2) & (d2 < r_g2)])
-        global_sets.append(np.setdiff1d(all_idx, inside, assume_unique=True))
+    # One radius query for all anchors, classified on its flattened rows.
+    anchor_points = aligned[anchors]
+    balls = index.radius_batch(anchor_points, radii.global_negative)
+    counts = np.array([ball.size for ball in balls], dtype=np.intp)
+    inside = np.concatenate(balls)
+    slots = np.repeat(np.arange(len(anchors), dtype=np.intp), counts)
+    diff = target.points[inside] - anchor_points[slots]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    local = (d2 > radii.local_negative ** 2) & (d2 < radii.global_negative ** 2)
+    local_counts = np.bincount(slots[local], minlength=len(anchors))
+    local_sets = np.split(inside[local], np.cumsum(local_counts)[:-1])
+    # Global negatives are the targets outside each ball, ascending per row.
+    outside = np.ones((len(anchors), len(target)), dtype=bool)
+    outside[slots, inside] = False
+    _, columns = np.nonzero(outside)
+    global_sets = np.split(columns, np.cumsum(len(target) - counts)[:-1])
 
     return SampleBatch(
         anchors=anchors,
@@ -196,6 +218,80 @@ def _exponents(margin_gap: np.ndarray, params: CircleLossParams) -> tuple[np.nda
     return params.scale * relu * margin_gap, 2.0 * params.scale * relu
 
 
+@dataclass(frozen=True)
+class _FlatSets:
+    """Index arrays of several slots flattened CSR-style: slot ``s`` owns rows
+    ``offsets[s]:offsets[s + 1]``; ``slots`` and ``targets`` give each row's
+    slot and target index."""
+
+    offsets: np.ndarray
+    slots: np.ndarray
+    targets: np.ndarray
+
+    @classmethod
+    def of(cls, sets, n_targets: int) -> "_FlatSets":
+        counts = np.array([s.size for s in sets], dtype=np.intp)
+        offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
+        targets = np.concatenate(sets).astype(np.intp, copy=False)
+        if targets.size and not 0 <= targets.min() <= targets.max() < n_targets:
+            raise ValidationError(f"sample indices must lie in [0, {n_targets})")
+        return cls(offsets, np.repeat(np.arange(len(sets), dtype=np.intp), counts), targets)
+
+    def distances(self, f_anchor: np.ndarray, f_tgt: np.ndarray) -> np.ndarray:
+        """Exact feature distance of every row, ``f_anchor`` indexed by slot."""
+        n = len(self.targets)
+        dist = np.empty(n)
+        diff = np.empty((min(n, _CHUNK_ROWS), f_tgt.shape[1]))
+        other = np.empty_like(diff)
+        for start in range(0, n, _CHUNK_ROWS):
+            stop = min(start + _CHUNK_ROWS, n)
+            a, t = diff[:stop - start], other[:stop - start]
+            # Indices are in range by construction; "clip" lets take write
+            # into the buffer directly.
+            np.take(f_anchor, self.slots[start:stop], axis=0, out=a, mode="clip")
+            np.take(f_tgt, self.targets[start:stop], axis=0, out=t, mode="clip")
+            np.subtract(a, t, out=a)
+            np.multiply(a, a, out=a)
+            np.add.reduce(a, axis=1, out=dist[start:stop])
+        return np.sqrt(dist, out=dist)
+
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        """Pairwise ``.sum()`` of each slot's slice of ``values``."""
+        bounds = self.offsets.tolist()
+        return np.array([values[lo:hi].sum() for lo, hi in zip(bounds[:-1], bounds[1:])])
+
+    def minima(self, values: np.ndarray) -> np.ndarray:
+        """Minimum of each slot's slice; every slot must be nonempty."""
+        return np.minimum.reduceat(values, self.offsets[:-1])
+
+
+def _usable_slots(batch: SampleBatch, mode: NegativeMode) -> np.ndarray:
+    """Mask of the slots whose positive and selected negative sets are nonempty."""
+    negatives = batch.negatives(mode)
+    return np.array([pos.size > 0 and neg.size > 0
+                     for pos, neg in zip(batch.positives, negatives)], dtype=bool)
+
+
+def _flat_samples(f_src: np.ndarray, f_tgt: np.ndarray, batch: SampleBatch,
+                  mode: NegativeMode, slots: np.ndarray):
+    """Anchor features of ``slots``, and their positive and negative sets
+    flattened, each with its row distances."""
+    f_anchor = f_src[batch.anchors[slots]]
+    flat = []
+    for sets in (batch.positives, batch.negatives(mode)):
+        rows = _FlatSets.of([sets[s] for s in slots], len(f_tgt))
+        flat.append((rows, rows.distances(f_anchor, f_tgt)))
+    return f_anchor, flat
+
+
+def _sample_features(source_features, target_features) -> tuple[np.ndarray, np.ndarray]:
+    f_src = _feature_matrix(source_features)
+    f_tgt = _feature_matrix(target_features)
+    if f_src.shape[1] != f_tgt.shape[1]:
+        raise ValidationError("source/target feature dimensions differ")
+    return f_src, f_tgt
+
+
 def circle_loss(source_features, target_features, batch: SampleBatch,
                 mode: NegativeMode, params: CircleLossParams) -> CircleLossResult:
     """Contrastive descriptor loss over a sample batch, with exact gradient.
@@ -204,58 +300,48 @@ def circle_loss(source_features, target_features, batch: SampleBatch,
     averaged over anchors whose positive and selected negative sets are both
     nonempty; anchors lacking either set are skipped and reported.
     """
-    f_src = _feature_matrix(source_features)
-    f_tgt = _feature_matrix(target_features)
-    if f_src.shape[1] != f_tgt.shape[1]:
-        raise ValidationError("source/target feature dimensions differ")
+    f_src, f_tgt = _sample_features(source_features, target_features)
     if len(batch) == 0:
         raise ValidationError("batch is empty")
-    negatives = batch.negatives(mode)
-
-    grad_src = np.zeros_like(f_src)
-    grad_tgt = np.zeros_like(f_tgt)
-    total = 0.0
-    used = 0
-    skipped: list[int] = []
-    for slot, anchor in enumerate(batch.anchors):
-        pos = batch.positives[slot]
-        neg = negatives[slot]
-        if pos.size == 0 or neg.size == 0:
-            skipped.append(int(anchor))
-            continue
-        a = f_src[anchor]
-        diff_p = a - f_tgt[pos]
-        diff_n = a - f_tgt[neg]
-        d_p = np.linalg.norm(diff_p, axis=1)
-        d_n = np.linalg.norm(diff_n, axis=1)
-
-        g_p, dg_p = _exponents(d_p - params.positive_margin, params)
-        g_n, dg_n = _exponents(params.negative_margin - d_n, params)
-        e_p = np.exp(g_p)
-        e_n = np.exp(g_n)
-        sum_p = e_p.sum()
-        sum_n = e_n.sum()
-        total += np.log1p(sum_p * sum_n)
-        used += 1
-
-        denom = 1.0 + sum_p * sum_n
-        # d loss / d d_p,j  (and the negative-margin chain flips the sign)
-        dl_dp = sum_n * e_p * dg_p / denom
-        dl_dn = -sum_p * e_n * dg_n / denom
-        u_p = np.where(d_p[:, None] > 0, diff_p / np.maximum(d_p, 1e-300)[:, None], 0.0)
-        u_n = np.where(d_n[:, None] > 0, diff_n / np.maximum(d_n, 1e-300)[:, None], 0.0)
-        grad_src[anchor] += dl_dp @ u_p + dl_dn @ u_n
-        np.add.at(grad_tgt, pos, -dl_dp[:, None] * u_p)
-        np.add.at(grad_tgt, neg, -dl_dn[:, None] * u_n)
-
-    if used == 0:
+    usable = _usable_slots(batch, mode)
+    if not usable.any():
         raise DegenerateBatchError("every anchor was skipped (empty sample sets)")
+    slots = np.flatnonzero(usable)
+    f_anchor, ((pos, d_p), (neg, d_n)) = _flat_samples(f_src, f_tgt, batch, mode, slots)
+
+    g_p, dg_p = _exponents(d_p - params.positive_margin, params)
+    g_n, dg_n = _exponents(params.negative_margin - d_n, params)
+    e_p = np.exp(g_p)
+    e_n = np.exp(g_n)
+    sum_p = pos.sums(e_p)
+    sum_n = neg.sums(e_n)
+    used = len(slots)
+    # accumulate adds left to right: the anchor-order running total
+    total = np.add.accumulate(np.log1p(sum_p * sum_n))[-1]
+
+    denom = 1.0 + sum_p * sum_n
+    # d loss / d d_p,j  (and the negative-margin chain flips the sign)
+    dl_dp = sum_n[pos.slots] * e_p * dg_p / denom[pos.slots]
+    dl_dn = -sum_p[neg.slots] * e_n * dg_n / denom[neg.slots]
+    # W[s, t] = (d loss / d d) / d per row; a row at d == 0 has no direction.
+    # d d / d f_a = (f_a - f_t) / d, hence grad_a = rowsum(W) f_a - W f_tgt
+    # and grad_t = colsum(W) f_t - W^T f_a.
+    grad_anchor = np.zeros_like(f_anchor)
+    grad_tgt = np.zeros_like(f_tgt)
+    for rows, dl, d in ((pos, dl_dp, d_p), (neg, dl_dn, d_n)):
+        weight = np.divide(dl, d, out=np.zeros_like(d), where=d > 0)
+        w = sparse.csr_array((weight, rows.targets, rows.offsets), shape=(used, len(f_tgt)))
+        grad_anchor += w.sum(axis=1)[:, None] * f_anchor - w @ f_tgt
+        grad_tgt += w.sum(axis=0)[:, None] * f_tgt - w.T @ f_anchor
+    grad_src = np.zeros_like(f_src)
+    np.add.at(grad_src, batch.anchors[slots], grad_anchor)
+
     return CircleLossResult(
         loss=float(total / used),
         grad_source=grad_src / used,
         grad_target=grad_tgt / used,
         used_anchors=used,
-        skipped_anchors=tuple(skipped),
+        skipped_anchors=tuple(int(a) for a in batch.anchors[~usable]),
     )
 
 
@@ -272,21 +358,18 @@ def matchability_labels(source_features, target_features, batch: SampleBatch,
     """
     if positive_reduction not in ("min", "mean"):
         raise ValidationError("positive_reduction must be 'min' or 'mean'")
-    f_src = _feature_matrix(source_features)
-    f_tgt = _feature_matrix(target_features)
-    negatives = batch.negatives(mode)
+    f_src, f_tgt = _sample_features(source_features, target_features)
+    valid = _usable_slots(batch, mode)
     bits = np.zeros(len(batch), dtype=np.int8)
-    valid = np.zeros(len(batch), dtype=bool)
-    for slot, anchor in enumerate(batch.anchors):
-        pos = batch.positives[slot]
-        neg = negatives[slot]
-        if pos.size == 0 or neg.size == 0:
-            continue
-        d_pos = np.linalg.norm(f_src[anchor] - f_tgt[pos], axis=1)
-        d_neg = np.linalg.norm(f_src[anchor] - f_tgt[neg], axis=1)
-        reduced = d_pos.min() if positive_reduction == "min" else d_pos.mean()
-        bits[slot] = 1 if reduced - d_neg.min() < 0 else 0
-        valid[slot] = True
+    if not valid.any():
+        return bits, valid
+    slots = np.flatnonzero(valid)
+    _, ((pos, d_pos), (neg, d_neg)) = _flat_samples(f_src, f_tgt, batch, mode, slots)
+    if positive_reduction == "min":
+        reduced = pos.minima(d_pos)
+    else:  # the sum over the count, as np.mean computes it
+        reduced = pos.sums(d_pos) / np.diff(pos.offsets)
+    bits[slots] = reduced - neg.minima(d_neg) < 0
     return bits, valid
 
 

@@ -306,7 +306,9 @@ class TestBenchCommand:
         spec.write_text(json.dumps({"pairs": []}))
         assert main(["bench", "--spec", str(spec)]) == 1
 
-    def test_keep_going_records_failures(self, tmp_path):
+    # The threaded and the serial path share one failure accounting; each
+    # test runs both.
+    def test_keep_going_records_failures(self, tmp_path, monkeypatch):
         pairs = [{"id": "good",
                   "scene": {"shape": "room", "n_points": 700, "overlap": 0.9,
                             "noise_sigma": 0.002, "seed": 101}},
@@ -314,21 +316,29 @@ class TestBenchCommand:
                   "gt": "missing.json"}]
         spec = tmp_path / "bench.json"
         spec.write_text(json.dumps({"pairs": pairs}))
-        out = tmp_path / "report.json"
-        code = main(["bench", "--spec", str(spec), "--samples", "120",
-                     "--seed", "0", "--out", str(out), "--keep-going"])
-        assert code == 0
-        report = json.loads(out.read_text())
-        assert len(report["failures"]) == 1
-        assert report["failures"][0]["pair"] == "broken"
-        assert len(report["blocks"]["120"]["pairs"]) == 1
+        for threads in ("1", "2"):
+            monkeypatch.setenv("HIREG_THREADS", threads)
+            out = tmp_path / f"report-{threads}.json"
+            code = main(["bench", "--spec", str(spec), "--samples", "120",
+                         "--seed", "0", "--out", str(out), "--keep-going"])
+            assert code == 0, threads
+            report = json.loads(out.read_text())
+            assert len(report["failures"]) == 1, threads
+            assert report["failures"][0]["pair"] == "broken"
+            assert report["failures"][0]["error"].startswith("FileNotFoundError")
+            assert len(report["blocks"]["120"]["pairs"]) == 1
 
-    def test_failure_without_keep_going_aborts(self, tmp_path):
+    def test_failure_without_keep_going_aborts(self, tmp_path, monkeypatch):
         pairs = [{"id": "broken", "src": "missing.ply", "tgt": "missing.ply",
                   "gt": "missing.json"}]
         spec = tmp_path / "bench.json"
         spec.write_text(json.dumps({"pairs": pairs}))
-        assert main(["bench", "--spec", str(spec), "--samples", "60"]) == 1
+        for threads in ("1", "2"):
+            monkeypatch.setenv("HIREG_THREADS", threads)
+            out = tmp_path / f"report-{threads}.json"
+            assert main(["bench", "--spec", str(spec), "--samples", "60",
+                         "--out", str(out)]) == 1, threads
+            assert not out.exists()
 
 
 class TestModuleEntryPoint:

@@ -368,6 +368,36 @@ class TestMatchability:
                                        batch, NegativeMode.LOCAL)
         assert valid.tolist() == [False]
 
+    def test_feature_dimension_mismatch_rejected(self, rng):
+        batch = make_batch(rng, n_anchor=2)
+        with pytest.raises(ValidationError):
+            matchability_labels(unit_rows(rng, 2, 5), unit_rows(rng, 40, 4), batch,
+                                NegativeMode.GLOBAL)
+
+    def test_empty_batch_gives_empty_arrays(self):
+        empty = np.array([], dtype=np.intp)
+        batch = SampleBatch(anchors=empty, positives=(), local_negatives=(),
+                            global_negatives=(), requested=1, eligible=0)
+        for reduction in ("min", "mean"):
+            bits, valid = matchability_labels(np.zeros((3, 2)), np.ones((4, 2)), batch,
+                                              NegativeMode.GLOBAL, reduction)
+            assert bits.dtype == np.int8 and bits.shape == (0,)
+            assert valid.dtype == bool and valid.shape == (0,)
+
+    @pytest.mark.parametrize("bad_index", [40, -1])
+    def test_out_of_range_sample_index_rejected(self, rng, bad_index):
+        batch = make_batch(rng, n_anchor=2)
+        batch = SampleBatch(anchors=batch.anchors, positives=batch.positives,
+                            local_negatives=batch.local_negatives,
+                            global_negatives=(batch.global_negatives[0],
+                                              np.array([bad_index], dtype=np.intp)),
+                            requested=2, eligible=2)
+        f_src, f_tgt = unit_rows(rng, 2, 4), unit_rows(rng, 40, 4)
+        with pytest.raises(ValidationError):
+            matchability_labels(f_src, f_tgt, batch, NegativeMode.GLOBAL)
+        with pytest.raises(ValidationError):
+            circle_loss(f_src, f_tgt, batch, NegativeMode.GLOBAL, CircleLossParams())
+
 
 class TestKeypointRankings:
     def test_truth_table_exhaustive(self):
