@@ -9,7 +9,6 @@ from .cloud import (
     build_index,
     compose,
     invert,
-    knn_query,
     radius_query,
     transform_points,
 )
@@ -20,7 +19,6 @@ from .descriptors import (
     Level,
     compute_descriptors,
     estimate_normals,
-    feature_distance,
 )
 from .detectors import (
     KeypointSet,
@@ -28,8 +26,6 @@ from .detectors import (
     sample_keypoints,
     score_overlap_heuristic,
     score_saliency,
-    score_set_from_dict,
-    score_set_to_dict,
 )
 from .errors import (
     DegenerateBatchError,

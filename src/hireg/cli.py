@@ -57,9 +57,12 @@ _VALIDATION_ERRORS = (ValidationError, GenerationError, DegenerateGeometryError,
 def _threads() -> int:
     raw = os.environ.get("HIREG_THREADS", "1")
     try:
-        return max(1, int(raw))
+        threads = int(raw)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise ValidationError(f"HIREG_THREADS must be an integer >= 1, got {raw!r}")
+    return threads
 
 
 def _load_run_config(args) -> RunConfig:
@@ -113,9 +116,14 @@ def cmd_register(args) -> int:
 
 def _bench_pair(entry: dict, config: RunConfig, samples: int, pair_id: str):
     if "scene" in entry:
-        spec_args = dict(entry["scene"])
-        scene = generate_scene(SceneSpec(**spec_args))
+        try:
+            spec = SceneSpec(**entry["scene"])
+        except TypeError as exc:
+            raise ValidationError(f"pair {pair_id}: bad scene: {exc}") from exc
+        scene = generate_scene(spec)
         source, target, gt = scene.source, scene.target, scene.transform
+    elif not {"src", "tgt", "gt"} <= entry.keys():
+        raise ValidationError(f"pair {pair_id}: needs 'scene' or all of 'src', 'tgt', 'gt'")
     else:
         source = io.load_cloud(entry["src"])
         target = io.load_cloud(entry["tgt"])
@@ -133,6 +141,7 @@ def _bench_pair(entry: dict, config: RunConfig, samples: int, pair_id: str):
 
 
 def cmd_bench(args) -> int:
+    workers = _threads()
     config = _load_run_config(args)
     spec = json.loads(Path(args.spec).read_text())
     entries = spec.get("pairs", [])
@@ -142,7 +151,6 @@ def cmd_bench(args) -> int:
 
     blocks: dict[int, list] = {}
     failures: list[dict] = []
-    workers = _threads()
     for count in samples:
         jobs = [(entry, config, count, entry.get("id", f"pair-{i}"))
                 for i, entry in enumerate(entries)]

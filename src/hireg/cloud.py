@@ -200,27 +200,3 @@ def radius_query(index: SpatialIndex, center, radius: float) -> np.ndarray:
         raise ValidationError("radius must be positive")
     center = _as_vector3(center, "center")
     return index.radius_batch(center[None, :], float(radius))[0]
-
-
-def knn_query(index: SpatialIndex, center, k: int) -> np.ndarray:
-    """The k nearest indices in nondecreasing distance order.
-
-    Distance ties are broken by lower point index, including at the k-th
-    neighbor boundary.
-    """
-    n = len(index.cloud)
-    if not 1 <= k <= n:
-        raise ValidationError(f"k must be in [1, {n}], got {k}")
-    center = _as_vector3(center, "center")
-    dists, _ = index._tree.query(center, k=k)
-    kth = float(np.max(dists))
-    # Re-query a closed ball at the k-th distance so boundary ties are all
-    # present, then order exactly by (distance, index).
-    cand = np.asarray(
-        index._tree.query_ball_point(center, kth * _BALL_SLACK + 1e-300),
-        dtype=np.intp,
-    )
-    diff = index.cloud.points[cand] - center
-    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    order = np.lexsort((cand, dist))
-    return cand[order[:k]]

@@ -1,4 +1,5 @@
-"""Run configuration: one nested document covering every pipeline knob.
+"""Run configuration: one nested document holding the knobs that ``register``,
+``labels`` and ``bench`` read.
 
 Configs round-trip exactly through dict/JSON (parse -> serialize -> parse is
 identity). Unknown keys are rejected so typos fail loudly.
@@ -13,7 +14,7 @@ from pathlib import Path
 from .descriptors import DescriptorParams
 from .errors import ValidationError
 from .matching import RansacParams
-from .training import CircleLossParams, LossWeights, SamplingRadii, TargetScores
+from .training import SamplingRadii
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,6 @@ class DetectorParams:
 class MatchingParams:
     cell_radius: float = 0.1
     top_fraction: float = 0.5
-    mutual: bool = True
-    per_cell_selection: bool = False
 
     def __post_init__(self):
         if not self.cell_radius > 0:
@@ -63,17 +62,15 @@ class MetricParams:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every hyperparameter of the pipeline, grouped by module."""
+    """The pipeline's hyperparameters, grouped by module. RANSAC draws from
+    ``seed + 3``, keypoint sampling from ``seed + 1`` and ``seed + 2``."""
 
     descriptor: DescriptorParams = field(default_factory=DescriptorParams)
     sampling: SamplingRadii = field(default_factory=SamplingRadii)
-    circle: CircleLossParams = field(default_factory=CircleLossParams)
-    targets: TargetScores = field(default_factory=TargetScores)
     detector: DetectorParams = field(default_factory=DetectorParams)
     ransac: RansacParams = field(default_factory=RansacParams)
     matching: MatchingParams = field(default_factory=MatchingParams)
     metrics: MetricParams = field(default_factory=MetricParams)
-    loss_weights: LossWeights = field(default_factory=LossWeights)
     anchors: int = 256
     positive_reduction: str = "min"
     seed: int = 0
@@ -95,13 +92,10 @@ class RunConfig:
 _SECTION_TYPES = {
     "descriptor": DescriptorParams,
     "sampling": SamplingRadii,
-    "circle": CircleLossParams,
-    "targets": TargetScores,
     "detector": DetectorParams,
     "ransac": RansacParams,
     "matching": MatchingParams,
     "metrics": MetricParams,
-    "loss_weights": LossWeights,
 }
 
 

@@ -95,15 +95,6 @@ class DescriptorSet:
         return self.vectors.shape[0]
 
 
-def feature_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean distance between two feature vectors."""
-    a = np.asarray(a, dtype=np.float64).reshape(-1)
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
-    if a.shape != b.shape:
-        raise ValidationError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
-
-
 def _neighborhood_covariances(points: np.ndarray,
                               graph: NeighborGraph) -> tuple[np.ndarray, np.ndarray]:
     """Per-point neighborhood covariance (N,3,3) and member count (N,), self included."""

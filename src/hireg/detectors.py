@@ -78,31 +78,6 @@ class KeypointSet:
         return self.indices.shape[0]
 
 
-def score_set_to_dict(scores: ScoreSet) -> dict:
-    """JSON-ready form: {level, matchability, overlap, detection}."""
-    return {
-        "level": scores.level.value,
-        "matchability": [float(v) for v in scores.matchability],
-        "overlap": [float(v) for v in scores.overlap],
-        "detection": [float(v) for v in scores.detection],
-    }
-
-
-def score_set_from_dict(data: dict) -> ScoreSet:
-    try:
-        scores = ScoreSet(Level(data["level"]),
-                          np.asarray(data["matchability"], dtype=np.float64),
-                          np.asarray(data["overlap"], dtype=np.float64))
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"bad score record: {exc}") from exc
-    if "detection" in data:
-        given = np.asarray(data["detection"], dtype=np.float64)
-        if given.shape != scores.detection.shape or not np.allclose(
-                given, scores.detection, atol=1e-12):
-            raise ValidationError("detection scores are not the matchability-overlap product")
-    return scores
-
-
 def pairwise_feature_nn(queries: np.ndarray, references: np.ndarray,
                         block: int = 1024) -> tuple[np.ndarray, np.ndarray]:
     """Exact nearest neighbor in feature space, blocked to bound memory.

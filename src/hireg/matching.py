@@ -10,7 +10,7 @@ weighted SVD for the final transform.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -77,7 +77,6 @@ class RansacParams:
     inlier_threshold: float = 0.05
     sample_size: int = 3
     confidence: float = 0.999
-    seed: int = 0
     # Consensus floor as a fraction of the correspondence count; a minimal
     # sample always fits itself, so an absolute floor of sample_size + 1
     # applies as well.
@@ -185,22 +184,22 @@ def _nondegenerate_sample(points: np.ndarray) -> bool:
 
 def ransac_transform(source: PointCloud, target: PointCloud,
                      correspondences: CorrespondenceSet,
-                     params: RansacParams) -> tuple[RigidTransform, np.ndarray]:
+                     params: RansacParams, seed: int) -> tuple[RigidTransform, np.ndarray]:
     """Consensus rigid transform over putative correspondences.
 
     Iterates minimal-sample fits, counting pairs with post-transform residual
     <= inlier_threshold, early-exits once the confidence bound on having seen
     an all-inlier sample is met, then refits on the best consensus set. The
     returned mask is recomputed under the returned transform, so re-checking
-    residuals reproduces it exactly.
+    residuals reproduces it exactly. Samples are drawn from ``seed``.
     """
-    transform, mask, _ = _ransac_with_stats(source, target, correspondences, params)
+    transform, mask, _ = _ransac_with_stats(source, target, correspondences, params, seed)
     return transform, mask
 
 
 def _ransac_with_stats(source: PointCloud, target: PointCloud,
                        correspondences: CorrespondenceSet,
-                       params: RansacParams) -> tuple[RigidTransform, np.ndarray, int]:
+                       params: RansacParams, seed: int) -> tuple[RigidTransform, np.ndarray, int]:
     n_pairs = len(correspondences)
     if n_pairs < params.sample_size:
         raise ValidationError(
@@ -208,7 +207,7 @@ def _ransac_with_stats(source: PointCloud, target: PointCloud,
         )
     src = source.points[correspondences.pairs[:, 0]]
     tgt = target.points[correspondences.pairs[:, 1]]
-    rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(seed)
     unit = np.ones(params.sample_size)
 
     best_count = 0
@@ -385,7 +384,7 @@ def register(source: PointCloud, target: PointCloud,
                               config.detector.coarse_samples, config.seed + 2)
     local = match_features(descs[("src", Level.HIGH)].vectors[kp_src.indices],
                            descs[("tgt", Level.HIGH)].vectors[kp_tgt.indices],
-                           mutual=config.matching.mutual)
+                           mutual=True)
     coarse = CorrespondenceSet(
         np.column_stack([kp_src.indices[local.pairs[:, 0]],
                          kp_tgt.indices[local.pairs[:, 1]]]),
@@ -393,14 +392,13 @@ def register(source: PointCloud, target: PointCloud,
     timings["coarse_match_ms"] = (time.perf_counter() - tick) * 1e3
 
     tick = time.perf_counter()
-    ransac_params = replace(config.ransac, seed=config.seed + 3)
-    if len(coarse) < ransac_params.sample_size:
+    if len(coarse) < config.ransac.sample_size:
         raise _stage_error(NoConsensusError(
             f"only {len(coarse)} coarse matches", best_inliers=0, iterations=0,
         ), Stage.COARSE)
     try:
         coarse_transform, inlier_mask, iterations = _ransac_with_stats(
-            source, target, coarse, ransac_params)
+            source, target, coarse, config.ransac, config.seed + 3)
     except (NoConsensusError, DegenerateGeometryError) as exc:
         raise _stage_error(exc, Stage.COARSE)
     timings["ransac_ms"] = (time.perf_counter() - tick) * 1e3
@@ -419,9 +417,6 @@ def register(source: PointCloud, target: PointCloud,
         )
         if len(cell) == 0:
             continue
-        if config.matching.per_cell_selection:
-            cell = select_fine_subset(cell, scores[("src", Level.LOW)],
-                                      config.matching.top_fraction)
         collected_pairs.append(cell.pairs)
         collected_weights.append(cell.weights)
 
@@ -432,18 +427,12 @@ def register(source: PointCloud, target: PointCloud,
         all_pairs = np.empty((0, 2), dtype=np.intp)
         all_weights = np.empty(0)
     all_pairs, all_weights = _dedup_max_weight(all_pairs, all_weights)
-    fine_all = CorrespondenceSet(all_pairs, all_weights, Stage.FINE)
-    if config.matching.per_cell_selection:
-        fine = fine_all
-    else:
-        fine = select_fine_subset(fine_all, scores[("src", Level.LOW)],
-                                  config.matching.top_fraction)
+    fine = select_fine_subset(CorrespondenceSet(all_pairs, all_weights, Stage.FINE),
+                              scores[("src", Level.LOW)], config.matching.top_fraction)
     if len(fine) > config.detector.fine_samples:
-        # cap by descending weight (ties by source index), matching the
-        # subset-selection ordering regardless of which path produced fine
-        order = np.lexsort((fine.pairs[:, 0], -fine.weights))
-        keep = order[: config.detector.fine_samples]
-        fine = CorrespondenceSet(fine.pairs[keep], fine.weights[keep], Stage.FINE)
+        # the subset is already ordered by descending weight, ties by source index
+        cap = config.detector.fine_samples
+        fine = CorrespondenceSet(fine.pairs[:cap], fine.weights[:cap], Stage.FINE)
     timings["fine_match_ms"] = (time.perf_counter() - tick) * 1e3
 
     tick = time.perf_counter()

@@ -231,9 +231,9 @@ def test_criterion_4_robust_matching():
         target = PointCloud(np.vstack([tgt_in, tgt_out]))
         pairs = np.column_stack([np.arange(100), np.arange(100)])
         correspondences = CorrespondenceSet(pairs, np.ones(100), Stage.COARSE)
-        params = RansacParams(max_iterations=1000, inlier_threshold=0.05, seed=seed)
+        params = RansacParams(max_iterations=1000, inlier_threshold=0.05)
         try:
-            estimate, _ = ransac_transform(source, target, correspondences, params)
+            estimate, _ = ransac_transform(source, target, correspondences, params, seed=seed)
         except NoConsensusError:
             continue
         if (rotation_error(estimate, transform) < 0.5

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from hireg import (
     DescriptorSet,
@@ -339,6 +340,34 @@ class TestBenchCommand:
             assert main(["bench", "--spec", str(spec), "--samples", "60",
                          "--out", str(out)]) == 1, threads
             assert not out.exists()
+
+    @pytest.mark.parametrize("entry", [
+        {"id": "typo", "scene": {"shape": "room", "n_point": 700}},
+        {"id": "typo", "src": "a.ply", "gt": "gt.json"},
+    ], ids=["unknown-scene-key", "no-scene-no-files"])
+    def test_bad_entry_is_a_validation_error(self, tmp_path, capsys, entry):
+        good = {"id": "good",
+                "scene": {"shape": "room", "n_points": 700, "overlap": 0.9,
+                          "noise_sigma": 0.002, "seed": 101}}
+        spec = tmp_path / "bench.json"
+        spec.write_text(json.dumps({"pairs": [entry]}))
+        assert main(["bench", "--spec", str(spec), "--samples", "60"]) == 1
+        assert capsys.readouterr().err.startswith("error: pair typo: ")
+
+        spec.write_text(json.dumps({"pairs": [good, entry]}))
+        out = tmp_path / "report.json"
+        assert main(["bench", "--spec", str(spec), "--samples", "120", "--seed", "0",
+                     "--out", str(out), "--keep-going"]) == 0
+        failures = json.loads(out.read_text())["failures"]
+        assert [f["pair"] for f in failures] == ["typo"]
+        assert failures[0]["error"].startswith("ValidationError: pair typo: ")
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_threads_value_exits_one(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("HIREG_THREADS", value)
+        spec = self._spec_file(tmp_path, n_pairs=1)
+        assert main(["bench", "--spec", str(spec), "--samples", "60"]) == 1
+        assert "HIREG_THREADS" in capsys.readouterr().err
 
 
 class TestModuleEntryPoint:

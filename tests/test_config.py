@@ -1,5 +1,9 @@
 """Config round trips and validation."""
 
+import json
+import re
+from pathlib import Path
+
 import pytest
 
 from hireg import RunConfig, ValidationError, load_config, save_config
@@ -26,6 +30,32 @@ class TestRunConfig:
         assert config.seed == 7
         assert config.ransac.inlier_threshold == 0.02
         assert config.detector == DetectorParams()
+
+    # Sections and knobs that nothing read; they are unknown keys now.
+    @pytest.mark.parametrize("document", [
+        {"circle": {}},
+        {"targets": {}},
+        {"loss_weights": {}},
+        {"matching": {"mutual": True}},
+        {"matching": {"per_cell_selection": False}},
+        {"ransac": {"seed": 0}},
+    ], ids=["circle", "targets", "loss_weights", "matching.mutual",
+            "matching.per_cell_selection", "ransac.seed"])
+    def test_removed_keys_rejected(self, document):
+        with pytest.raises(ValidationError, match="unknown keys"):
+            RunConfig.from_dict(document)
+
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+        assert len(blocks) == 1
+        data = json.loads(blocks[0])
+        parsed = RunConfig.from_dict(data).to_dict()
+        for key, value in data.items():
+            if isinstance(value, dict):
+                assert {name: parsed[key][name] for name in value} == value
+            else:
+                assert parsed[key] == value
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValidationError):

@@ -17,7 +17,6 @@ from hireg import (
     apply_transform,
     compute_descriptors,
     estimate_normals,
-    feature_distance,
 )
 
 from conftest import random_transform
@@ -123,7 +122,7 @@ class TestComputeDescriptors:
         corner = PointCloud(corner_pts)
         low_corner = compute_descriptors(corner, Level.LOW, DescriptorParams())
         apex = int(np.argmin(np.linalg.norm(corner_pts, axis=1)))
-        gap = feature_distance(plane_row, low_corner.vectors[apex])
+        gap = float(np.linalg.norm(plane_row - low_corner.vectors[apex]))
         assert gap > 0.1
         assert gap == pytest.approx(PLANE_CORNER_GAP, abs=1e-6)
 
@@ -164,24 +163,3 @@ class TestComputeDescriptors:
             descs = compute_descriptors(cloud, level, DescriptorParams())
             norms = np.linalg.norm(descs.vectors, axis=1)
             assert np.all((np.abs(norms - 1) < 1e-9) | (norms == 0))
-
-
-class TestFeatureDistance:
-    def test_zero_for_identical(self, rng):
-        v = rng.normal(size=8)
-        assert feature_distance(v, v) == 0.0
-
-    def test_orthogonal_unit_vectors(self):
-        a = np.array([1.0, 0.0, 0.0, 0.0])
-        b = np.array([0.0, 1.0, 0.0, 0.0])
-        assert feature_distance(a, b) == pytest.approx(np.sqrt(2.0), abs=1e-15)
-
-    def test_matches_scalar_loop(self, rng):
-        a = rng.normal(size=12)
-        b = rng.normal(size=12)
-        expected = sum((float(a[i]) - float(b[i])) ** 2 for i in range(12)) ** 0.5
-        assert feature_distance(a, b) == pytest.approx(expected, rel=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
-            feature_distance(np.zeros(3), np.zeros(4))

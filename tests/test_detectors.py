@@ -206,22 +206,3 @@ class TestSampleKeypoints:
     def test_unique_indices_enforced(self):
         with pytest.raises(ValidationError):
             KeypointSet(indices=np.array([1, 1]), level=Level.LOW, sample_seed=0)
-
-
-class TestScoreSetJson:
-    def test_round_trip(self, rng):
-        from hireg.detectors import score_set_from_dict, score_set_to_dict
-        scores = ScoreSet(Level.LOW, rng.uniform(0, 1, 12), rng.uniform(0, 1, 12))
-        data = score_set_to_dict(scores)
-        assert set(data) == {"level", "matchability", "overlap", "detection"}
-        back = score_set_from_dict(data)
-        np.testing.assert_allclose(back.detection, scores.detection, atol=1e-15)
-        assert back.level == scores.level
-
-    def test_inconsistent_detection_rejected(self, rng):
-        from hireg.detectors import score_set_from_dict, score_set_to_dict
-        data = score_set_to_dict(ScoreSet(Level.HIGH, rng.uniform(0, 1, 4),
-                                          rng.uniform(0, 1, 4)))
-        data["detection"] = [0.9, 0.9, 0.9, 0.9]
-        with pytest.raises(ValidationError):
-            score_set_from_dict(data)

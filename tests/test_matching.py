@@ -197,8 +197,8 @@ def consensus_problem(rng, n_inliers=40, n_outliers=60, noise=0.0):
 class TestRansac:
     def test_noiseless_exact_recovery(self, rng):
         src, tgt, corr, t = consensus_problem(rng, n_inliers=30, n_outliers=0)
-        params = RansacParams(max_iterations=1000, inlier_threshold=0.05, seed=3)
-        est, mask = ransac_transform(src, tgt, corr, params)
+        params = RansacParams(max_iterations=1000, inlier_threshold=0.05)
+        est, mask = ransac_transform(src, tgt, corr, params, seed=3)
         assert rotation_error(est, t) < np.degrees(1e-6)
         assert translation_error(est, t) < 1e-6
         assert mask.all()
@@ -208,9 +208,9 @@ class TestRansac:
         for seed in range(100):
             rng = np.random.default_rng(1000 + seed)
             src, tgt, corr, t = consensus_problem(rng, n_inliers=40, n_outliers=60)
-            params = RansacParams(max_iterations=1000, inlier_threshold=0.05, seed=seed)
+            params = RansacParams(max_iterations=1000, inlier_threshold=0.05)
             try:
-                est, _ = ransac_transform(src, tgt, corr, params)
+                est, _ = ransac_transform(src, tgt, corr, params, seed=seed)
             except NoConsensusError:
                 continue
             if rotation_error(est, t) < 0.5 and translation_error(est, t) < 0.02:
@@ -224,13 +224,13 @@ class TestRansac:
         corr = CorrespondenceSet(pairs, np.ones(5), Stage.COARSE)
         with pytest.raises(NoConsensusError) as info:
             ransac_transform(src, tgt, corr, RansacParams(max_iterations=200,
-                                                          inlier_threshold=1e-6, seed=0))
+                                                          inlier_threshold=1e-6), seed=0)
         assert info.value.best_inliers <= 3
 
     def test_mask_is_exact(self, rng):
         src, tgt, corr, _ = consensus_problem(rng, noise=0.01)
-        params = RansacParams(max_iterations=500, inlier_threshold=0.05, seed=7)
-        est, mask = ransac_transform(src, tgt, corr, params)
+        params = RansacParams(max_iterations=500, inlier_threshold=0.05)
+        est, mask = ransac_transform(src, tgt, corr, params, seed=7)
         residuals = np.linalg.norm(
             transform_points(src.points[corr.pairs[:, 0]], est) - tgt.points[corr.pairs[:, 1]],
             axis=1)
@@ -238,9 +238,9 @@ class TestRansac:
 
     def test_deterministic_given_seed(self, rng):
         src, tgt, corr, _ = consensus_problem(rng)
-        params = RansacParams(max_iterations=300, seed=5)
-        a, mask_a = ransac_transform(src, tgt, corr, params)
-        b, mask_b = ransac_transform(src, tgt, corr, params)
+        params = RansacParams(max_iterations=300)
+        a, mask_a = ransac_transform(src, tgt, corr, params, seed=5)
+        b, mask_b = ransac_transform(src, tgt, corr, params, seed=5)
         np.testing.assert_array_equal(a.rotation, b.rotation)
         np.testing.assert_array_equal(mask_a, mask_b)
 
@@ -248,7 +248,7 @@ class TestRansac:
         src = PointCloud(rng.normal(size=(2, 3)))
         corr = CorrespondenceSet(np.array([[0, 0], [1, 1]]), np.ones(2), Stage.COARSE)
         with pytest.raises(ValidationError):
-            ransac_transform(src, src, corr, RansacParams())
+            ransac_transform(src, src, corr, RansacParams(), seed=0)
 
 
 class TestLocalCellMatch:
