@@ -140,14 +140,36 @@ def _bench_pair(entry: dict, config: RunConfig, samples: int, pair_id: str):
     )
 
 
+def _parse_bench_spec(spec, source: str) -> tuple[list[dict], list[int] | None]:
+    """The pair entries and the optional sample counts of a decoded spec.
+
+    Only the document's shape is checked here; a bad entry fails as its pair.
+    """
+    if not isinstance(spec, dict):
+        raise ValidationError(f"{source}: benchmark spec must be an object, "
+                              f"got {type(spec).__name__}")
+    entries = spec.get("pairs")
+    if not isinstance(entries, list) or not entries:
+        raise ValidationError(f"{source}: benchmark spec lists no pairs")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValidationError(f"{source}: pair {i} must be an object, "
+                                  f"got {type(entry).__name__}")
+        if not isinstance(entry.get("id", ""), str):
+            raise ValidationError(f"{source}: pair {i} id must be a string")
+    samples = spec.get("samples")
+    if samples is not None and not (
+            isinstance(samples, list) and samples
+            and all(type(count) is int and count >= 1 for count in samples)):
+        raise ValidationError(f"{source}: samples must be a nonempty list of integers >= 1")
+    return entries, samples
+
+
 def cmd_bench(args) -> int:
     workers = _threads()
     config = _load_run_config(args)
-    spec = json.loads(Path(args.spec).read_text())
-    entries = spec.get("pairs", [])
-    if not entries:
-        raise ValidationError(f"{args.spec}: benchmark spec lists no pairs")
-    samples = args.samples if args.samples else spec.get("samples", [config.detector.coarse_samples])
+    entries, samples = _parse_bench_spec(json.loads(Path(args.spec).read_text()), args.spec)
+    samples = args.samples or samples or [config.detector.coarse_samples]
 
     blocks: dict[int, list] = {}
     failures: list[dict] = []

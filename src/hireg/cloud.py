@@ -132,6 +132,9 @@ class NeighborGraph:
     def centers(self) -> np.ndarray:  # the row of every stored neighbour
         return np.repeat(np.arange(len(self.offsets) - 1, dtype=np.intp), self.counts)
 
+    def row(self, i: int) -> np.ndarray:
+        return self.indices[self.offsets[i]:self.offsets[i + 1]]
+
 
 @dataclass(frozen=True)
 class SpatialIndex:

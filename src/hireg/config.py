@@ -2,7 +2,9 @@
 ``labels`` and ``bench`` read.
 
 Configs round-trip exactly through dict/JSON (parse -> serialize -> parse is
-identity). Unknown keys are rejected so typos fail loudly.
+identity). Unknown keys are rejected so typos fail loudly, and so is a value
+whose type is not the field's: a bool is no number, and a JSON int is
+accepted for a float field.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from .descriptors import DescriptorParams
 from .errors import ValidationError
@@ -78,6 +81,8 @@ class RunConfig:
     def __post_init__(self):
         if self.anchors < 1:
             raise ValidationError("anchors must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
         if self.positive_reduction not in ("min", "mean"):
             raise ValidationError("positive_reduction must be 'min' or 'mean'")
 
@@ -105,17 +110,26 @@ def _build(cls, data: dict, context: str):
     known = {f.name for f in fields(cls)}
     unknown = set(data) - known
     if unknown:
-        raise ValidationError(f"{context}: unknown keys {sorted(unknown)}")
+        raise ValidationError(f"{context}: unknown keys {sorted(map(str, unknown))}")
+    types = get_type_hints(cls)
     kwargs = {}
     for key, value in data.items():
         section = _SECTION_TYPES.get(key)
         if section is not None and cls is RunConfig:
             kwargs[key] = _build(section, value, context=f"{context}.{key}")
         else:
-            kwargs[key] = value
+            kwargs[key] = _scalar(value, types[key], context=f"{context}.{key}")
+    return cls(**kwargs)
+
+
+def _scalar(value, expected: type, context: str):
+    accepted = (int, float) if expected is float else (expected,)
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValidationError(
+            f"{context}: expected {expected.__name__}, got {type(value).__name__}")
     try:
-        return cls(**kwargs)
-    except TypeError as exc:
+        return float(value) if expected is float else value
+    except OverflowError as exc:
         raise ValidationError(f"{context}: {exc}") from exc
 
 

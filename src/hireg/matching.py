@@ -21,7 +21,6 @@ from .cloud import (
     RigidTransform,
     SpatialIndex,
     build_index,
-    radius_query,
     transform_points,
 )
 from .descriptors import DescriptorSet, Level, compute_descriptors, estimate_normals
@@ -111,12 +110,12 @@ class RegistrationResult:
 
 
 def match_features(source_descriptors: DescriptorSet | np.ndarray,
-                   target_descriptors: DescriptorSet | np.ndarray,
-                   mutual: bool = True) -> CorrespondenceSet:
-    """Nearest-neighbor feature matching, optionally mutual-only.
+                   target_descriptors: DescriptorSet | np.ndarray) -> CorrespondenceSet:
+    """Mutual nearest-neighbor feature matching.
 
-    Returned pairs index into the rows of the given descriptor matrices;
-    weights are 1.
+    A source row and its nearest target row pair up when that target row's
+    nearest source row is the same one. Returned pairs index into the rows of
+    the given descriptor matrices; weights are 1.
     """
     f_src = source_descriptors.vectors if isinstance(source_descriptors, DescriptorSet) \
         else np.asarray(source_descriptors, dtype=np.float64)
@@ -128,11 +127,8 @@ def match_features(source_descriptors: DescriptorSet | np.ndarray,
         raise ValidationError("descriptor dimensions differ")
 
     _, nn_st = pairwise_feature_nn(f_src, f_tgt)
-    if mutual:
-        _, nn_ts = pairwise_feature_nn(f_tgt, f_src)
-        src_idx = np.flatnonzero(nn_ts[nn_st] == np.arange(f_src.shape[0]))
-    else:
-        src_idx = np.arange(f_src.shape[0])
+    _, nn_ts = pairwise_feature_nn(f_tgt, f_src)
+    src_idx = np.flatnonzero(nn_ts[nn_st] == np.arange(f_src.shape[0]))
     pairs = np.column_stack([src_idx, nn_st[src_idx]])
     return CorrespondenceSet(pairs, np.ones(len(src_idx)), Stage.COARSE)
 
@@ -261,35 +257,28 @@ def local_cell_match(source: PointCloud, target: PointCloud,
                      source_low: DescriptorSet, target_low: DescriptorSet,
                      cell_radius: float,
                      source_index: SpatialIndex | None = None,
-                     target_index: SpatialIndex | None = None,
-                     source_detection: np.ndarray | None = None) -> CorrespondenceSet:
+                     target_index: SpatialIndex | None = None) -> CorrespondenceSet:
     """Mutual low-level feature matches inside cells around a coarse pair.
 
-    Cells are closed balls of ``cell_radius`` around the pair's endpoints.
-    Pair weights are the source points' low-level detection scores when
-    given, else 1. Empty cells yield an empty set, not an error.
+    Cells are closed balls of ``cell_radius`` around the pair's endpoints,
+    read as rows of each index's memoised neighbour graph; a cell always
+    holds its own endpoint. Weights are 1: ``select_fine_subset`` weights
+    the pairs it keeps.
     """
     if not cell_radius > 0:
         raise ValidationError("cell_radius must be positive")
+    src_anchor, tgt_anchor = int(coarse_pair[0]), int(coarse_pair[1])
+    if not (0 <= src_anchor < len(source) and 0 <= tgt_anchor < len(target)):
+        raise ValidationError(f"coarse pair {coarse_pair} indexes outside the clouds")
     if source_index is None:
         source_index = build_index(source)
     if target_index is None:
         target_index = build_index(target)
-    src_anchor, tgt_anchor = int(coarse_pair[0]), int(coarse_pair[1])
-    src_cell = radius_query(source_index, source.points[src_anchor], cell_radius)
-    tgt_cell = radius_query(target_index, target.points[tgt_anchor], cell_radius)
-    if src_cell.size == 0 or tgt_cell.size == 0:
-        return CorrespondenceSet(np.empty((0, 2), dtype=np.intp), np.empty(0), Stage.FINE)
-
-    local = match_features(source_low.vectors[src_cell],
-                           target_low.vectors[tgt_cell], mutual=True)
-    src_global = src_cell[local.pairs[:, 0]]
-    tgt_global = tgt_cell[local.pairs[:, 1]]
-    if source_detection is not None:
-        weights = np.asarray(source_detection, dtype=np.float64)[src_global]
-    else:
-        weights = np.ones(len(src_global))
-    return CorrespondenceSet(np.column_stack([src_global, tgt_global]), weights, Stage.FINE)
+    src_cell = source_index.neighbor_graph(cell_radius).row(src_anchor)
+    tgt_cell = target_index.neighbor_graph(cell_radius).row(tgt_anchor)
+    local = match_features(source_low.vectors[src_cell], target_low.vectors[tgt_cell])
+    pairs = np.column_stack([src_cell[local.pairs[:, 0]], tgt_cell[local.pairs[:, 1]]])
+    return CorrespondenceSet(pairs, local.weights, Stage.FINE)
 
 
 def select_fine_subset(fine: CorrespondenceSet, low_scores: ScoreSet,
@@ -307,18 +296,6 @@ def select_fine_subset(fine: CorrespondenceSet, low_scores: ScoreSet,
     order = np.lexsort((fine.pairs[:, 0], -scores))
     keep = order[: int(np.ceil(top_fraction * len(fine)))]
     return CorrespondenceSet(fine.pairs[keep], scores[keep], Stage.FINE)
-
-
-def _dedup_max_weight(pairs: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Collapse duplicate (src, tgt) pairs, keeping the highest weight."""
-    if pairs.shape[0] == 0:
-        return pairs, weights
-    order = np.lexsort((-weights, pairs[:, 1], pairs[:, 0]))
-    pairs = pairs[order]
-    weights = weights[order]
-    first = np.ones(pairs.shape[0], dtype=bool)
-    first[1:] = (np.diff(pairs[:, 0]) != 0) | (np.diff(pairs[:, 1]) != 0)
-    return pairs[first], weights[first]
 
 
 def _stage_error(exc, stage: Stage):
@@ -352,39 +329,31 @@ def register(source: PointCloud, target: PointCloud,
     dparams = config.descriptor
     src_normals = estimate_normals(source, dparams.normal_radius, index=src_index)
     tgt_normals = estimate_normals(target, dparams.normal_radius, index=tgt_index)
-    descs = {
-        ("src", Level.LOW): compute_descriptors(source, Level.LOW, dparams, src_normals, src_index),
-        ("src", Level.HIGH): compute_descriptors(source, Level.HIGH, dparams, src_normals, src_index),
-        ("tgt", Level.LOW): compute_descriptors(target, Level.LOW, dparams, tgt_normals, tgt_index),
-        ("tgt", Level.HIGH): compute_descriptors(target, Level.HIGH, dparams, tgt_normals, tgt_index),
-    }
+    src_low = compute_descriptors(source, Level.LOW, dparams, src_normals, src_index)
+    src_high = compute_descriptors(source, Level.HIGH, dparams, src_normals, src_index)
+    tgt_low = compute_descriptors(target, Level.LOW, dparams, tgt_normals, tgt_index)
+    tgt_high = compute_descriptors(target, Level.HIGH, dparams, tgt_normals, tgt_index)
     timings["descriptors_ms"] = (time.perf_counter() - tick) * 1e3
 
     tick = time.perf_counter()
     k = config.detector.saliency_k
-    scores: dict[tuple[str, Level], ScoreSet] = {}
-    for side, cloud, index, other in (("src", source, src_index, "tgt"),
-                                      ("tgt", target, tgt_index, "src")):
-        # Overlap is a property of the cloud pair, judged best at the global
-        # receptive field; both levels share the high-level overlap scores.
-        overlap = score_overlap_heuristic(descs[(side, Level.HIGH)],
-                                          descs[(other, Level.HIGH)])
-        for level in (Level.LOW, Level.HIGH):
-            scores[(side, level)] = ScoreSet(
-                level,
-                score_saliency(cloud, descs[(side, level)], index, k),
-                overlap,
-            )
+    # Overlap is a property of the cloud pair, judged best at the global
+    # receptive field; the source's two levels share its high-level overlap.
+    # Keypoints read both HIGH sets and fine weighting the source LOW set, so
+    # the target LOW set is never scored.
+    src_overlap = score_overlap_heuristic(src_high, tgt_high)
+    src_low_scores = ScoreSet(Level.LOW, score_saliency(source, src_low, src_index, k),
+                              src_overlap)
+    src_high_scores = ScoreSet(Level.HIGH, score_saliency(source, src_high, src_index, k),
+                               src_overlap)
+    tgt_high_scores = ScoreSet(Level.HIGH, score_saliency(target, tgt_high, tgt_index, k),
+                               score_overlap_heuristic(tgt_high, src_high))
     timings["scores_ms"] = (time.perf_counter() - tick) * 1e3
 
     tick = time.perf_counter()
-    kp_src = sample_keypoints(scores[("src", Level.HIGH)],
-                              config.detector.coarse_samples, config.seed + 1)
-    kp_tgt = sample_keypoints(scores[("tgt", Level.HIGH)],
-                              config.detector.coarse_samples, config.seed + 2)
-    local = match_features(descs[("src", Level.HIGH)].vectors[kp_src.indices],
-                           descs[("tgt", Level.HIGH)].vectors[kp_tgt.indices],
-                           mutual=True)
+    kp_src = sample_keypoints(src_high_scores, config.detector.coarse_samples, config.seed + 1)
+    kp_tgt = sample_keypoints(tgt_high_scores, config.detector.coarse_samples, config.seed + 2)
+    local = match_features(src_high.vectors[kp_src.indices], tgt_high.vectors[kp_tgt.indices])
     coarse = CorrespondenceSet(
         np.column_stack([kp_src.indices[local.pairs[:, 0]],
                          kp_tgt.indices[local.pairs[:, 1]]]),
@@ -404,31 +373,15 @@ def register(source: PointCloud, target: PointCloud,
     timings["ransac_ms"] = (time.perf_counter() - tick) * 1e3
 
     tick = time.perf_counter()
-    low_detection = scores[("src", Level.LOW)].detection
-    collected_pairs: list[np.ndarray] = []
-    collected_weights: list[np.ndarray] = []
-    for pair in coarse.pairs[inlier_mask]:
-        cell = local_cell_match(
-            source, target, (pair[0], pair[1]),
-            descs[("src", Level.LOW)], descs[("tgt", Level.LOW)],
-            config.matching.cell_radius,
-            source_index=src_index, target_index=tgt_index,
-            source_detection=low_detection,
-        )
-        if len(cell) == 0:
-            continue
-        collected_pairs.append(cell.pairs)
-        collected_weights.append(cell.weights)
-
-    if collected_pairs:
-        all_pairs = np.vstack(collected_pairs)
-        all_weights = np.concatenate(collected_weights)
-    else:
-        all_pairs = np.empty((0, 2), dtype=np.intp)
-        all_weights = np.empty(0)
-    all_pairs, all_weights = _dedup_max_weight(all_pairs, all_weights)
-    fine = select_fine_subset(CorrespondenceSet(all_pairs, all_weights, Stage.FINE),
-                              scores[("src", Level.LOW)], config.matching.top_fraction)
+    cells = [local_cell_match(source, target, (src_anchor, tgt_anchor), src_low, tgt_low,
+                              config.matching.cell_radius,
+                              source_index=src_index, target_index=tgt_index).pairs
+             for src_anchor, tgt_anchor in coarse.pairs[inlier_mask]]
+    # Overlapping cells repeat pairs; keep one of each, in (source, target) order.
+    all_pairs = np.unique(np.concatenate(cells), axis=0) if cells \
+        else np.empty((0, 2), dtype=np.intp)
+    fine = select_fine_subset(CorrespondenceSet(all_pairs, np.ones(len(all_pairs)), Stage.FINE),
+                              src_low_scores, config.matching.top_fraction)
     if len(fine) > config.detector.fine_samples:
         # the subset is already ordered by descending weight, ties by source index
         cap = config.detector.fine_samples

@@ -362,6 +362,22 @@ class TestBenchCommand:
         assert [f["pair"] for f in failures] == ["typo"]
         assert failures[0]["error"].startswith("ValidationError: pair typo: ")
 
+    @pytest.mark.parametrize("spec, message", [
+        ([{"scene": {"shape": "room"}}], "benchmark spec must be an object, got list"),
+        ({"pairs": ["a"]}, "pair 0 must be an object, got str"),
+        ({"pairs": [{"scene": {}}], "samples": "80"}, "samples must be a nonempty list"),
+        ({"pairs": [{"scene": {}}], "samples": [80, True]}, "samples must be a nonempty list"),
+        ({"pairs": [{"id": ["a"], "scene": {}}]}, "pair 0 id must be a string"),
+    ], ids=["spec-is-list", "pair-not-object", "samples-not-int-list", "samples-bool",
+            "id-not-string"])
+    def test_malformed_spec_exits_one(self, tmp_path, capsys, spec, message):
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps(spec))
+        assert main(["bench", "--spec", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
     def test_bad_threads_value_exits_one(self, tmp_path, capsys, monkeypatch, value):
         monkeypatch.setenv("HIREG_THREADS", value)

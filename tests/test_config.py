@@ -70,6 +70,36 @@ class TestRunConfig:
             RunConfig.from_dict({"sampling": {"positive": 0.2, "local_negative": 0.1,
                                               "global_negative": 0.3}})
 
+    # A bool is no number, and a number is no string; each used to pass and
+    # fail later inside register with a TypeError.
+    @pytest.mark.parametrize("document", [
+        {"seed": "3"},
+        {"seed": True},
+        {"seed": 3.0},
+        {"anchors": False},
+        {"positive_reduction": 1},
+        {"descriptor": {"bins": 11.5}},
+        {"ransac": {"max_iterations": "100"}},
+        {"ransac": {"inlier_threshold": True}},
+        {"matching": {"cell_radius": "0.1"}},
+        {"matching": {"top_fraction": None}},
+    ], ids=["seed-str", "seed-bool", "seed-float", "anchors-bool", "reduction-int",
+            "bins-float", "iterations-str", "threshold-bool", "radius-str", "fraction-null"])
+    def test_wrong_value_type_rejected(self, document):
+        with pytest.raises(ValidationError, match="expected (int|float|str), got"):
+            RunConfig.from_dict(document)
+
+    def test_int_accepted_for_float_field(self):
+        config = RunConfig.from_dict({"matching": {"cell_radius": 1},
+                                      "sampling": {"global_negative": 2}})
+        assert config.matching.cell_radius == 1.0
+        assert type(config.matching.cell_radius) is float
+        assert type(config.sampling.global_negative) is float
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed"):
+            RunConfig.from_dict({"seed": -1})
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -31,7 +31,7 @@ from hireg import (
     weighted_svd,
 )
 from hireg.cloud import transform_points
-from hireg.detectors import ScoreSet
+from hireg.detectors import ScoreSet, pairwise_feature_nn
 from hireg.matching import Stage
 from hireg.synth import SceneSpec, generate_scene
 
@@ -73,30 +73,36 @@ def unit_rows(rng, n, dim):
 class TestMatchFeatures:
     def test_identical_sets_identity_pairing(self, rng):
         descs = unit_rows(rng, 15, 6)
-        matches = match_features(descs, descs, mutual=True)
+        matches = match_features(descs, descs)
         assert matches.pairs[:, 0].tolist() == matches.pairs[:, 1].tolist()
         assert len(matches) == 15
 
     def test_swapped_unit_vectors(self):
         e1 = [1.0, 0.0, 0.0]
         e2 = [0.0, 1.0, 0.0]
-        matches = match_features(np.array([e1, e2]), np.array([e2, e1]), mutual=True)
+        matches = match_features(np.array([e1, e2]), np.array([e2, e1]))
         assert sorted(map(tuple, matches.pairs.tolist())) == [(0, 1), (1, 0)]
 
     def test_matches_all_pairs_oracle(self, rng):
         src = unit_rows(rng, 20, 5)
         tgt = unit_rows(rng, 30, 5)
-        got = match_features(src, tgt, mutual=False)
-        for i, j in got.pairs:
+        dist, nn = pairwise_feature_nn(src, tgt)
+        for i in range(20):
             dists = [math.dist(src[i], tgt[t]) for t in range(30)]
-            assert j == int(np.argmin(dists))
+            assert nn[i] == int(np.argmin(dists))
+            assert dist[i] == pytest.approx(min(dists), abs=1e-12)
+        for i, j in match_features(src, tgt).pairs:
+            assert j == nn[i]
 
     def test_mutual_subset_of_forward(self, rng):
         src = unit_rows(rng, 25, 5)
         tgt = unit_rows(rng, 25, 5)
-        forward = {tuple(p) for p in match_features(src, tgt, mutual=False).pairs.tolist()}
-        mutual = {tuple(p) for p in match_features(src, tgt, mutual=True).pairs.tolist()}
+        _, nn_st = pairwise_feature_nn(src, tgt)
+        _, nn_ts = pairwise_feature_nn(tgt, src)
+        forward = {(i, int(j)) for i, j in enumerate(nn_st)}
+        mutual = {tuple(p) for p in match_features(src, tgt).pairs.tolist()}
         assert mutual <= forward
+        assert mutual == {(i, j) for i, j in forward if nn_ts[j] == i}
 
     def test_empty_rejected(self, rng):
         with pytest.raises(ValidationError):
@@ -306,13 +312,14 @@ class TestLocalCellMatch:
         with pytest.raises(ValidationError):
             local_cell_match(source, source, (0, 0), descs, descs, cell_radius=0.0)
 
-    def test_weights_from_detection(self, rng):
-        patch = rng.uniform(0, 0.1, size=(8, 3))
-        descs = DescriptorSet(Level.LOW, unit_rows(rng, 8, 6))
-        detection = rng.uniform(0, 1, size=8)
-        fine = local_cell_match(PointCloud(patch), PointCloud(patch.copy()), (0, 0),
-                                descs, descs, 0.5, source_detection=detection)
-        np.testing.assert_allclose(fine.weights, detection[fine.pairs[:, 0]])
+    @pytest.mark.parametrize("pair", [(2, 0), (0, 1), (-1, 0), (0, -1)])
+    def test_anchor_outside_cloud_rejected(self, rng, pair):
+        source = PointCloud(np.zeros((2, 3)))
+        target = PointCloud(np.zeros((1, 3)))
+        descs_s = DescriptorSet(Level.LOW, unit_rows(rng, 2, 4))
+        descs_t = DescriptorSet(Level.LOW, unit_rows(rng, 1, 4))
+        with pytest.raises(ValidationError, match="outside the clouds"):
+            local_cell_match(source, target, pair, descs_s, descs_t, cell_radius=0.1)
 
 
 class TestSelectFineSubset:
