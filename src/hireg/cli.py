@@ -118,7 +118,7 @@ def _bench_pair(entry: dict, config: RunConfig, samples: int, pair_id: str):
     if "scene" in entry:
         try:
             spec = SceneSpec(**entry["scene"])
-        except TypeError as exc:
+        except (TypeError, ValidationError) as exc:
             raise ValidationError(f"pair {pair_id}: bad scene: {exc}") from exc
         scene = generate_scene(spec)
         source, target, gt = scene.source, scene.target, scene.transform

@@ -1,14 +1,25 @@
-"""Point cloud and rigid transform primitives plus a spatial index.
+"""Point cloud and rigid transform primitives, a spatial index, and the
+worker pool the kernels share.
 
 Everything here is immutable after construction and safe to share across
 threads. The spatial index memoises one read-only neighbour graph per radius,
 a pure function of (cloud, radius): threads racing on a radius build equal
 graphs, and either may be kept. Distances are Euclidean, radii are meters,
 radius queries use closed balls (boundary points included).
+
+The descriptor and score kernels split their work into fixed-size chunks of
+rows and run them on one process-wide pool with a worker per CPU the process
+may run on (``taskset`` restricts that set). Each chunk writes rows of an
+output allocated beforehand, so results do not depend on the worker count.
+Callers on several threads, such as ``HIREG_THREADS`` bench pairs, share the
+one pool; chunks never submit to it, so no caller waits on a blocked worker.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +33,55 @@ ROTATION_TOL = 1e-9
 # Relative inflation applied before handing a radius to the kd-tree, so the
 # exact closed-ball filter afterwards never misses a boundary point.
 _BALL_SLACK = 1.0 + 1e-12
+# Candidate neighbours whose exact distance one chunk computes.
+_CHUNK_KEYS = 1 << 16
+
+
+def worker_count() -> int:
+    """CPUs in this process's affinity mask (all CPUs where there is no mask)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+_in_worker = threading.local()
+
+
+def _mark_worker() -> None:
+    _in_worker.active = True
+
+
+def _forget_pool() -> None:  # a forked child has none of the parent's threads
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def map_chunks(fn, n: int, chunk: int) -> None:
+    """Call ``fn(start, stop)`` for every ``chunk``-sized slice of ``range(n)``
+    on the shared pool and wait for all of them; the first error is raised.
+
+    ``fn`` must only write its own slice of a caller's output, so the result
+    is the same for any worker count. Runs inline on one CPU, for a single
+    chunk, and when called from a pool worker.
+    """
+    global _pool
+    starts = range(0, n, chunk)
+    if len(starts) <= 1 or getattr(_in_worker, "active", False) or worker_count() == 1:
+        for start in starts:
+            fn(start, min(start + chunk, n))
+        return
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(worker_count(), "hireg-kernel", _mark_worker)
+    for _ in _pool.map(lambda start: fn(start, min(start + chunk, n)), starts):
+        pass
 
 
 def _as_points(array: np.ndarray) -> np.ndarray:
@@ -129,9 +189,6 @@ class NeighborGraph:
     def counts(self) -> np.ndarray:
         return np.diff(self.offsets)
 
-    def centers(self) -> np.ndarray:  # the row of every stored neighbour
-        return np.repeat(np.arange(len(self.offsets) - 1, dtype=np.intp), self.counts)
-
     def row(self, i: int) -> np.ndarray:
         return self.indices[self.offsets[i]:self.offsets[i + 1]]
 
@@ -151,11 +208,17 @@ class SpatialIndex:
     def _graph(self, centers: np.ndarray, keys: np.ndarray, radius: float) -> NeighborGraph:
         """Exact closed balls from kd-tree candidate keys ``row * n + point``."""
         keys.sort()
-        rows, cols = np.divmod(keys, len(self.cloud))
-        diff = self.cloud.points[cols] - centers[rows]
-        # Compare in sqrt space so "distance of the k-th neighbor" computed
-        # by callers via np.linalg.norm lands inside its own closed ball.
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        rows, cols, dist = np.empty_like(keys), np.empty_like(keys), np.empty(len(keys))
+
+        def measure(start: int, stop: int) -> None:
+            rows[start:stop], cols[start:stop] = np.divmod(keys[start:stop], len(self.cloud))
+            diff = np.take(self.cloud.points, cols[start:stop], axis=0)
+            diff -= np.take(centers, rows[start:stop], axis=0)
+            # Compare in sqrt space so "distance of the k-th neighbor" computed
+            # by callers via np.linalg.norm lands inside its own closed ball.
+            dist[start:stop] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+        map_chunks(measure, len(keys), _CHUNK_KEYS)
         keep = dist <= radius
         offsets = np.searchsorted(rows[keep], np.arange(len(centers) + 1))
         return NeighborGraph(offsets, cols[keep], dist[keep])
@@ -187,7 +250,8 @@ class SpatialIndex:
 
     def knn_batch(self, centers: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Raw kd-tree k-NN for many centers; no tie-break guarantee."""
-        dists, idx = self._tree.query(np.asarray(centers, dtype=np.float64), k=k)
+        dists, idx = self._tree.query(np.asarray(centers, dtype=np.float64), k=k,
+                                      workers=worker_count())
         return np.atleast_2d(dists), np.atleast_2d(idx)
 
 

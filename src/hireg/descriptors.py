@@ -15,13 +15,25 @@ from enum import Enum
 import numpy as np
 from scipy import sparse
 
-from .cloud import NeighborGraph, PointCloud, SpatialIndex, build_index, _require_nonempty
+from .cloud import (NeighborGraph, PointCloud, SpatialIndex, build_index, map_chunks,
+                    _require_nonempty)
 from .errors import ValidationError
 
 _UNIT_TOL = 1e-6
 # Cosine threshold below which the centroid direction no longer disambiguates
 # a normal's sign and the lexicographic fallback rule applies.
 _SIGN_COS_TOL = 1e-6
+# Histogram sample budget per point at the wide receptive field. Striding the
+# index-sorted neighbor list keeps the subset deterministic and bounds the
+# quadratic blowup on dense clouds, but which members it keeps depends on point
+# order: a permuted cloud yields other high descriptors.
+_MAX_CENTER_PAIRS = 96
+# Centres per chunk of the histogram and moment kernels: every bin and moment
+# still sums its votes in one pass and in order, while the temporaries stay
+# bounded.
+_CHUNK_CENTERS = 256
+# Shared low-level pairs whose angles one chunk computes.
+_CHUNK_PAIRS = 1 << 14
 
 
 class Level(str, Enum):
@@ -95,23 +107,36 @@ class DescriptorSet:
         return self.vectors.shape[0]
 
 
+def _adjacency(graph: NeighborGraph, start: int = 0, stop: int | None = None) -> sparse.csr_matrix:
+    """Rows ``start:stop`` of the graph as a 0/1 matrix over all N points:
+    row ``i`` holds centre ``start + i``'s members."""
+    n = len(graph.offsets) - 1
+    stop = n if stop is None else stop
+    first, last = graph.offsets[start], graph.offsets[stop]
+    return sparse.csr_matrix((np.ones(last - first), graph.indices[first:last],
+                              graph.offsets[start:stop + 1] - first), shape=(stop - start, n))
+
+
+# Moment column of each (a, b) entry of the symmetric second-moment matrix.
+_MOMENT_AB = np.array([[3, 4, 5], [4, 6, 7], [5, 7, 8]])
+
+
 def _neighborhood_covariances(points: np.ndarray,
                               graph: NeighborGraph) -> tuple[np.ndarray, np.ndarray]:
     """Per-point neighborhood covariance (N,3,3) and member count (N,), self included."""
-    n = points.shape[0]
-    centers = graph.centers()
+    a, b = np.triu_indices(3)
+    point_moments = np.hstack([points, points[:, a] * points[:, b]])
+    moments = np.empty_like(point_moments)
+
+    def accumulate(start: int, stop: int) -> None:
+        # Each row sums its members' x, y, z and six products in member order.
+        moments[start:stop] = _adjacency(graph, start, stop) @ point_moments
+
+    map_chunks(accumulate, len(points), _CHUNK_CENTERS)
     counts = graph.counts.astype(np.float64)
-    member_pts = points[graph.indices]
-    sums = np.stack([np.bincount(centers, weights=member_pts[:, c], minlength=n)
-                     for c in range(3)], axis=1)
-    sq = np.empty((n, 3, 3))
-    for a in range(3):
-        for b in range(a, 3):
-            sq[:, a, b] = sq[:, b, a] = np.bincount(
-                centers, weights=member_pts[:, a] * member_pts[:, b], minlength=n)
     safe = np.maximum(counts, 1.0)
-    means = sums / safe[:, None]
-    cov = sq / safe[:, None, None] - means[:, :, None] * means[:, None, :]
+    means = moments[:, :3] / safe[:, None]
+    cov = moments[:, _MOMENT_AB] / safe[:, None, None] - means[:, :, None] * means[:, None, :]
     return cov, counts
 
 
@@ -160,15 +185,6 @@ def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-# Histogram sample budget per point at the wide receptive field; striding the
-# index-sorted neighbor list keeps the subset deterministic and rigid
-# invariant while bounding the quadratic blowup on dense clouds.
-_MAX_CENTER_PAIRS = 96
-# Centres histogrammed per bincount call: every bin still sums its votes in
-# one pass and in order, while the per-pair temporaries stay bounded.
-_CHUNK_CENTERS = 256
-
-
 def _full_pairs(graph: NeighborGraph, start: int, stop: int):
     """(center, position of a, position of b) of every ordered pair a != b in
     the neighborhoods of centers ``start:stop``, in (center, a, b) order."""
@@ -180,44 +196,60 @@ def _full_pairs(graph: NeighborGraph, start: int, stop: int):
     return np.repeat(np.arange(start, stop), per), first + i, first + j + (j >= i)
 
 
+def _strided_pairs(graph: NeighborGraph, start: int, stop: int):
+    """(center, position of member) of the center-to-member pairs of centers
+    ``start:stop``, each neighbor list strided down to ``_MAX_CENTER_PAIRS``."""
+    m = graph.counts[start:stop]
+    first = graph.offsets[start]
+    center = np.repeat(np.arange(start, stop), m)
+    stride = np.where(m > _MAX_CENTER_PAIRS, -(-m // _MAX_CENTER_PAIRS), 1)
+    rank = np.arange(len(center)) - np.repeat(graph.offsets[start:stop] - first, m)
+    picked = np.flatnonzero((rank % np.repeat(stride, m) == 0)
+                            & (graph.indices[first:first + len(center)] != center))
+    return center[picked], first + picked
+
+
 def _pair_bins(points: np.ndarray, normals: np.ndarray, src: np.ndarray, dst: np.ndarray,
-               bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Soft-bin votes of ordered pairs' (alpha, phi, theta): the voting pairs
-    (not coincident, both normals set, not along the source normal) and their
-    (6, votes) left/right bin columns and masses within one ring's block."""
-    diff = points[dst] - points[src]
-    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    n_c, n_m = normals[src], normals[dst]
-    voting = np.flatnonzero((dist > 1e-12) & (np.einsum("ij,ij->i", n_c, n_c) > 0.5)
-                            & (np.einsum("ij,ij->i", n_m, n_m) > 0.5))
-    d_unit = diff[voting] / dist[voting, None]
-    n_c, n_m = n_c[voting], n_m[voting]
-    v = _cross_rows(d_unit, n_c)
-    v_norm = np.sqrt(np.einsum("ij,ij->i", v, v))
-    ok = v_norm > 1e-9
-    voting, d_unit, n_c, n_m = voting[ok], d_unit[ok], n_c[ok], n_m[ok]
-    v = v[ok] / v_norm[ok, None]
+               bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Soft-bin votes of ordered pairs' (alpha, phi, theta): the (6, pairs)
+    left/right bin columns and masses within one ring's block. A pair that
+    does not vote (coincident, a normal unset, or along the source normal)
+    gets zero masses, which leave every bin sum unchanged."""
+    d_unit = np.take(points, dst, axis=0)
+    d_unit -= np.take(points, src, axis=0)
+    dist = np.sqrt(np.einsum("ij,ij->i", d_unit, d_unit))
+    n_c, n_m = np.take(normals, src, axis=0), np.take(normals, dst, axis=0)
+    # Non-voting pairs divide by zero here; their values are replaced below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_unit /= dist[:, None]
+        v = _cross_rows(d_unit, n_c)
+        v_norm = np.sqrt(np.einsum("ij,ij->i", v, v))
+        v /= v_norm[:, None]
+    voting = ((dist > 1e-12) & (np.einsum("ij,ij->i", n_c, n_c) > 0.5)
+              & (np.einsum("ij,ij->i", n_m, n_m) > 0.5) & (v_norm > 1e-9))
     w = _cross_rows(n_c, v)
     alpha = np.einsum("ij,ij->i", v, n_m)
     phi = np.einsum("ij,ij->i", n_c, d_unit)
     theta = np.arctan2(np.einsum("ij,ij->i", w, n_m), np.einsum("ij,ij->i", n_c, n_m))
-    cols, weights = [], []
-    for offset, values, lo, hi in ((0, alpha, -1.0, 1.0), (bins, phi, -1.0, 1.0),
-                                   (2 * bins, theta, -np.pi, np.pi)):
+    cols = np.empty((6, len(src)), dtype=np.intp)
+    weights = np.empty((6, len(src)))
+    for row, (offset, values, lo, hi) in enumerate(
+            ((0, alpha, -1.0, 1.0), (bins, phi, -1.0, 1.0), (2 * bins, theta, -np.pi, np.pi))):
         # Linear soft binning: each value splits its unit mass between the
         # two nearest bin centers, so the histogram varies continuously with
         # the input. The angle feature wraps around instead of clamping.
-        coord = (values - lo) / (hi - lo) * bins - 0.5
+        coord = (np.where(voting, values, 0.0) - lo) / (hi - lo) * bins - 0.5
         left = np.floor(coord).astype(np.intp)
-        frac = coord - left
+        weights[2 * row + 1] = coord - left
+        weights[2 * row] = 1.0 - weights[2 * row + 1]
         right = left + 1
         if values is theta:
             left, right = left % bins, right % bins
         else:
             left, right = np.clip(left, 0, bins - 1), np.clip(right, 0, bins - 1)
-        cols += [offset + left, offset + right]
-        weights += [1.0 - frac, frac]
-    return voting, np.stack(cols), np.stack(weights)
+        cols[2 * row], cols[2 * row + 1] = offset + left, offset + right
+    weights *= voting
+    return cols, weights
 
 
 def _angular_histograms(points: np.ndarray, normals: np.ndarray, graph: NeighborGraph,
@@ -231,43 +263,41 @@ def _angular_histograms(points: np.ndarray, normals: np.ndarray, graph: Neighbor
     neighborhoods has its angles computed once. With ``rings`` > 1 a pair
     votes into the radial ring of its member point's distance from the center,
     so nearby points on weakly structured surfaces get distinct signatures.
+    Both the shared pairs and the centres run in chunks on the worker pool.
     """
     n, width = points.shape[0], 3 * bins * rings
     if full_pairs:
         # Every (a, b) that shares a neighborhood, as sorted keys a * n + b.
-        adjacency = sparse.csr_matrix(
-            (np.ones(len(graph.indices)), graph.indices, graph.offsets), shape=(n, n))
+        adjacency = _adjacency(graph)
         shared = (adjacency.T @ adjacency).tocsr().sorted_indices()
         keys = np.repeat(np.arange(n, dtype=np.intp), np.diff(shared.indptr)) * n + shared.indices
-        voting, cols, weights = _pair_bins(points, normals, *np.divmod(keys, n), bins)
-        slots = np.full(len(keys), -1, dtype=np.intp)
-        slots[voting] = np.arange(len(voting))
-    else:
-        # Center-to-neighbor pairs, each neighbor list strided down to the cap.
-        centers, counts = graph.centers(), graph.counts
-        stride = np.where(counts > _MAX_CENTER_PAIRS, -(-counts // _MAX_CENTER_PAIRS), 1)
-        rank = np.arange(len(centers)) - graph.offsets[centers]
-        picked = np.flatnonzero((rank % stride[centers] == 0) & (graph.indices != centers))
-        centers = centers[picked]
-        voting, cols, weights = _pair_bins(points, normals, centers, graph.indices[picked], bins)
-        centers, picked = centers[voting], picked[voting]
+        cols = np.empty((6, len(keys)), dtype=np.intp)
+        weights = np.empty((6, len(keys)))
 
-    hist = np.zeros((n, width))
-    for start in range(0, n, _CHUNK_CENTERS):
-        stop = min(start + _CHUNK_CENTERS, n)
+        def bin_shared(start: int, stop: int) -> None:
+            cols[:, start:stop], weights[:, start:stop] = _pair_bins(
+                points, normals, *np.divmod(keys[start:stop], n), bins)
+
+        map_chunks(bin_shared, len(keys), _CHUNK_PAIRS)
+
+    hist = np.empty((n, width))
+
+    def histogram(start: int, stop: int) -> None:
         if full_pairs:
             center, pos_a, pos_b = _full_pairs(graph, start, stop)
-            slot = slots[np.searchsorted(keys, graph.indices[pos_a] * n + graph.indices[pos_b])]
-            keep = slot >= 0
-            center, pos_b, slot = center[keep], pos_b[keep], slot[keep]
+            slot = np.searchsorted(keys, graph.indices[pos_a] * n + graph.indices[pos_b])
+            pair_cols, pair_weights = np.take(cols, slot, axis=1), np.take(weights, slot, axis=1)
         else:
-            slot = np.arange(*np.searchsorted(centers, (start, stop)))
-            center, pos_b = centers[slot], picked[slot]
+            center, pos_b = _strided_pairs(graph, start, stop)
+            pair_cols, pair_weights = _pair_bins(points, normals, center,
+                                                 graph.indices[pos_b], bins)
         ring = np.minimum((graph.distances[pos_b] / radius * rings).astype(np.intp), rings - 1)
         row_base = (center - start) * width + ring * (3 * bins)
-        votes = np.bincount((row_base + np.take(cols, slot, axis=1)).ravel(),
-                            np.take(weights, slot, axis=1).ravel(), (stop - start) * width)
+        votes = np.bincount((row_base + pair_cols).ravel(), pair_weights.ravel(),
+                            (stop - start) * width)
         hist[start:stop] = votes.reshape(stop - start, width)
+
+    map_chunks(histogram, n, _CHUNK_CENTERS)
     # Relative frequencies per block, so the histogram is invariant to
     # neighborhood size (sampling density varies between cloud pairs).
     blocks = hist.reshape(n, 3 * rings, bins)

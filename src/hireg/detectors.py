@@ -12,9 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cloud import PointCloud, SpatialIndex
+from .cloud import PointCloud, SpatialIndex, map_chunks
 from .descriptors import DescriptorSet, Level
 from .errors import DegenerateScoreError, ValidationError
+
+# Points whose neighbour descriptor differences one saliency chunk holds.
+_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -79,18 +82,20 @@ class KeypointSet:
 
 
 def pairwise_feature_nn(queries: np.ndarray, references: np.ndarray,
-                        block: int = 1024) -> tuple[np.ndarray, np.ndarray]:
-    """Exact nearest neighbor in feature space, blocked to bound memory.
+                        block: int = 256) -> tuple[np.ndarray, np.ndarray]:
+    """Exact nearest neighbor in feature space, in query blocks that bound
+    memory and run on the worker pool.
 
     Returns (distances, indices); ties resolve to the lowest reference index.
     The expanded-form distance matrix carries ~1e-16 cancellation noise, so
-    near-tied winners are re-decided from exact distances.
+    near-tied winners are re-decided from exact distances, and the result
+    does not depend on ``block``.
     """
     q2 = np.einsum("ij,ij->i", queries, queries)
     r2 = np.einsum("ij,ij->i", references, references)
     best_idx = np.empty(queries.shape[0], dtype=np.intp)
-    for start in range(0, queries.shape[0], block):
-        stop = min(start + block, queries.shape[0])
+
+    def nearest(start: int, stop: int) -> None:
         d2 = q2[start:stop, None] + r2[None, :] - 2.0 * queries[start:stop] @ references.T
         winners = d2.argmin(axis=1)
         floor = d2[np.arange(stop - start), winners]
@@ -101,6 +106,8 @@ def pairwise_feature_nn(queries: np.ndarray, references: np.ndarray,
             exact = np.einsum("ij,ij->i", diff, diff)
             winners[row] = cand[np.lexsort((cand, exact))[0]]
         best_idx[start:stop] = winners
+
+    map_chunks(nearest, queries.shape[0], block)
     diff = queries - references[best_idx]
     return np.sqrt(np.einsum("ij,ij->i", diff, diff)), best_idx
 
@@ -128,8 +135,14 @@ def score_saliency(cloud: PointCloud, descriptors: DescriptorSet,
     keep = np.arange(k + 1)[None, :] != drop[:, None]
     neighbors = idx[keep].reshape(n, k)
 
-    diffs = descriptors.vectors[neighbors] - descriptors.vectors[:, None, :]
-    stat = np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs)).mean(axis=1)
+    vectors, stat = descriptors.vectors, np.empty(n)
+
+    def distinctiveness(start: int, stop: int) -> None:
+        diffs = np.take(vectors, neighbors[start:stop], axis=0)
+        diffs -= vectors[start:stop, None, :]
+        stat[start:stop] = np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs)).mean(axis=1)
+
+    map_chunks(distinctiveness, n, _CHUNK_ROWS)
     scale = float(np.percentile(stat, 95))
     if scale <= 0:
         return np.zeros(n)

@@ -41,6 +41,10 @@ class SceneSpec:
     def __post_init__(self):
         if self.shape not in _SHAPES:
             raise ValidationError(f"shape must be one of {_SHAPES}")
+        for name in ("n_points", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.n_points < 1:
             raise ValidationError("n_points must be >= 1")
         if not 0 <= self.overlap <= 1:

@@ -362,6 +362,19 @@ class TestBenchCommand:
         assert [f["pair"] for f in failures] == ["typo"]
         assert failures[0]["error"].startswith("ValidationError: pair typo: ")
 
+    @pytest.mark.parametrize("scene", [
+        {"shape": "room", "n_points": 700.5, "seed": 1},
+        {"shape": "room", "n_points": 700, "seed": 1.5},
+        {"shape": "room", "n_points": 0, "seed": 1},
+    ], ids=["n-points-float", "seed-float", "n-points-zero"])
+    def test_bad_scene_value_exits_one(self, tmp_path, capsys, scene):
+        spec = tmp_path / "bench.json"
+        spec.write_text(json.dumps({"pairs": [{"id": "typo", "scene": scene}]}))
+        assert main(["bench", "--spec", str(spec), "--samples", "60"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: pair typo: bad scene: ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("spec, message", [
         ([{"scene": {"shape": "room"}}], "benchmark spec must be an object, got list"),
         ({"pairs": ["a"]}, "pair 0 must be an object, got str"),

@@ -25,6 +25,18 @@ class TestSceneSpec:
         with pytest.raises(ValidationError):
             SceneSpec(outlier_fraction=2.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_points", 700.5), ("n_points", 700.0), ("n_points", True), ("n_points", "700"),
+        ("seed", 1.5), ("seed", False), ("seed", None),
+    ])
+    def test_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            SceneSpec(**{field: value})
+
+    def test_accepts_numpy_integers(self):
+        spec = SceneSpec(n_points=np.int64(700), seed=np.int32(3))
+        assert spec.n_points == 700 and spec.seed == 3
+
 
 class TestGenerateScene:
     def test_exact_copy_when_lossless(self, rng):
