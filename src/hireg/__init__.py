@@ -41,6 +41,7 @@ from .matching import (
     RansacParams,
     RegistrationResult,
     Stage,
+    describe_cloud,
     local_cell_match,
     match_features,
     ransac_transform,

@@ -30,7 +30,7 @@ from .errors import (
     NoCorrespondenceError,
     ValidationError,
 )
-from .matching import RegistrationResult, register
+from .matching import RegistrationResult, describe_cloud, register
 from .metrics import BenchmarkReport, evaluate_pair
 from .synth import SceneSpec, generate_scene
 from .training import (
@@ -85,9 +85,9 @@ def _scene_spec_from_args(args) -> SceneSpec:
 
 def _result_to_dict(result: RegistrationResult) -> dict:
     out = io.transform_to_dict(result.transform)
+    for key, value in io.transform_to_dict(result.coarse_transform).items():
+        out[f"coarse_{key}"] = value
     out.update({
-        "coarse_rotation": [float(v) for v in result.coarse_transform.rotation.reshape(-1)],
-        "coarse_translation": [float(v) for v in result.coarse_transform.translation],
         "coarse_pairs": result.coarse.pairs.tolist(),
         "fine_pairs": result.fine.pairs.tolist(),
         "fine_weights": [float(w) for w in result.fine.weights],
@@ -226,16 +226,8 @@ def cmd_labels(args) -> int:
         tgt_low = _labels_descriptors(args.desc_tgt_low, Level.LOW, len(target))
         tgt_high = _labels_descriptors(args.desc_tgt_high, Level.HIGH, len(target))
     else:
-        from .cloud import build_index
-        from .descriptors import compute_descriptors, estimate_normals
-        src_index = build_index(source)
-        tgt_index = build_index(target)
-        src_normals = estimate_normals(source, config.descriptor.normal_radius, index=src_index)
-        tgt_normals = estimate_normals(target, config.descriptor.normal_radius, index=tgt_index)
-        src_low = compute_descriptors(source, Level.LOW, config.descriptor, src_normals, src_index)
-        src_high = compute_descriptors(source, Level.HIGH, config.descriptor, src_normals, src_index)
-        tgt_low = compute_descriptors(target, Level.LOW, config.descriptor, tgt_normals, tgt_index)
-        tgt_high = compute_descriptors(target, Level.HIGH, config.descriptor, tgt_normals, tgt_index)
+        _, src_low, src_high = describe_cloud(source, config.descriptor)
+        _, tgt_low, tgt_high = describe_cloud(target, config.descriptor)
 
     batch = build_sample_batch(source, target, gt, config.sampling,
                                config.anchors, config.seed)
@@ -245,28 +237,19 @@ def cmd_labels(args) -> int:
     low_bits, low_valid = matchability_labels(src_low, tgt_low, batch,
                                               NegativeMode.LOCAL,
                                               config.positive_reduction)
+    # Invalid anchors carry bit 0, so one call ranks every anchor.
+    high_rank, low_rank = keypoint_rankings(high_bits, low_bits)
     records = []
-    for slot, anchor in enumerate(batch.anchors):
-        if high_valid[slot] and low_valid[slot]:
-            high_rank, low_rank = keypoint_rankings([int(high_bits[slot])],
-                                                    [int(low_bits[slot])])
-            records.append({
-                "anchor": int(anchor),
-                "m_high": int(high_bits[slot]),
-                "m_low": int(low_bits[slot]),
-                "r_high": int(high_rank[0]),
-                "r_low": int(low_rank[0]),
-            })
+    for slot, anchor in enumerate(batch.anchors.tolist()):
+        missing = [name for name, valid in (("high", high_valid), ("low", low_valid))
+                   if not valid[slot]]
+        if missing:
+            records.append({"anchor": anchor, "skipped_reason":
+                            f"empty sample set at level(s): {','.join(missing)}"})
         else:
-            missing = []
-            if not high_valid[slot]:
-                missing.append("high")
-            if not low_valid[slot]:
-                missing.append("low")
-            records.append({
-                "anchor": int(anchor),
-                "skipped_reason": f"empty sample set at level(s): {','.join(missing)}",
-            })
+            records.append({"anchor": anchor,
+                            "m_high": int(high_bits[slot]), "m_low": int(low_bits[slot]),
+                            "r_high": int(high_rank[slot]), "r_low": int(low_rank[slot])})
     text = "\n".join(json.dumps(record) for record in records) + "\n"
     _emit(text, args.out)
     return EXIT_OK
@@ -333,15 +316,26 @@ def _scalar_circle_loss(f_src, f_tgt, batch, mode, params) -> float:
 
 
 def _fd_gradient(fn, array: np.ndarray, coords, h: float = 1e-5) -> np.ndarray:
+    """Central differences of ``fn`` at each of ``coords`` (ints or index tuples)."""
     out = np.zeros(len(coords))
-    for slot, (i, j) in enumerate(coords):
+    for slot, index in enumerate(coords):
         bumped = array.copy()
-        bumped[i, j] += h
+        bumped[index] += h
         up = fn(bumped)
-        bumped[i, j] -= 2 * h
+        bumped[index] -= 2 * h
         down = fn(bumped)
         out[slot] = (up - down) / (2 * h)
     return out
+
+
+def _grad_error(fn, array: np.ndarray, grad: np.ndarray, coords, corrupt: bool) -> float:
+    """Largest relative error of ``grad`` against central differences at ``coords``."""
+    fd = _fd_gradient(fn, array, coords)
+    analytic = np.array([grad[index] for index in coords])
+    if corrupt:
+        analytic = analytic + 1e-3
+    floor = np.maximum(np.maximum(np.abs(fd), np.abs(analytic)), 1e-6)
+    return float((np.abs(analytic - fd) / floor).max())
 
 
 def run_losscheck(seed: int, corrupt: bool = False) -> tuple[dict[str, float], bool]:
@@ -358,61 +352,36 @@ def run_losscheck(seed: int, corrupt: bool = False) -> tuple[dict[str, float], b
         "overlap_grad": 0.0,
     }
 
-    for trial in range(5):
+    def note(name: str, error: float) -> None:
+        errors[name] = max(errors[name], error)
+
+    for _ in range(5):
         f_src, f_tgt, batch = _losscheck_instance(rng)
         for mode in (NegativeMode.GLOBAL, NegativeMode.LOCAL):
             result = circle_loss(f_src, f_tgt, batch, mode, params)
             reference = _scalar_circle_loss(f_src, f_tgt, batch, mode, params)
-            value_err = abs(result.loss - reference) / max(abs(reference), 1e-12)
-            errors[f"circle_{mode.value}_value"] = max(
-                errors[f"circle_{mode.value}_value"], value_err)
-
-            grad = result.grad_source if corrupt is False else result.grad_source + 1e-3
+            note(f"circle_{mode.value}_value",
+                 abs(result.loss - reference) / max(abs(reference), 1e-12))
             coords = [(int(rng.integers(f_src.shape[0])), int(rng.integers(f_src.shape[1])))
                       for _ in range(10)]
-            fd = _fd_gradient(
-                lambda arr: circle_loss(arr, f_tgt, batch, mode, params).loss, f_src, coords)
-            analytic = np.array([grad[i, j] for i, j in coords])
-            rel = np.abs(analytic - fd) / np.maximum.reduce(
-                [np.abs(fd), np.abs(analytic), np.full_like(fd, 1e-6)])
-            errors[f"circle_{mode.value}_grad"] = max(
-                errors[f"circle_{mode.value}_grad"], float(rel.max()))
+            note(f"circle_{mode.value}_grad", _grad_error(
+                lambda arr: circle_loss(arr, f_tgt, batch, mode, params).loss,
+                f_src, result.grad_source, coords, corrupt))
 
         scores = rng.uniform(0.05, 0.95, size=32)
         ranks = rng.integers(0, 4, size=32)
         loss, grad = rating_loss(scores, ranks, targets)
         reference = sum((s - targets.as_array()[r]) ** 2 for s, r in zip(scores, ranks)) / 32
-        errors["rating_value"] = max(errors["rating_value"],
-                                     abs(loss - reference) / max(abs(reference), 1e-12))
+        note("rating_value", abs(loss - reference) / max(abs(reference), 1e-12))
         coords = [int(rng.integers(32)) for _ in range(10)]
-        fd = []
-        for i in coords:
-            bumped = scores.copy()
-            bumped[i] += 1e-5
-            up, _ = rating_loss(bumped, ranks, targets)
-            bumped[i] -= 2e-5
-            down, _ = rating_loss(bumped, ranks, targets)
-            fd.append((up - down) / 2e-5)
-        analytic = grad[coords] if not corrupt else grad[coords] + 1e-3
-        rel = np.abs(analytic - np.array(fd)) / np.maximum.reduce(
-            [np.abs(np.array(fd)), np.abs(analytic), np.full(len(fd), 1e-6)])
-        errors["rating_grad"] = max(errors["rating_grad"], float(rel.max()))
+        note("rating_grad", _grad_error(lambda arr: rating_loss(arr, ranks, targets)[0],
+                                        scores, grad, coords, corrupt))
 
         pred = rng.uniform(0.05, 0.95, size=32)
         labels = rng.integers(0, 2, size=32)
         _, grad = overlap_loss(pred, labels)
-        fd = []
-        for i in coords:
-            bumped = pred.copy()
-            bumped[i] += 1e-5
-            up, _ = overlap_loss(bumped, labels)
-            bumped[i] -= 2e-5
-            down, _ = overlap_loss(bumped, labels)
-            fd.append((up - down) / 2e-5)
-        analytic = grad[coords] if not corrupt else grad[coords] + 1e-3
-        rel = np.abs(analytic - np.array(fd)) / np.maximum.reduce(
-            [np.abs(np.array(fd)), np.abs(analytic), np.full(len(fd), 1e-6)])
-        errors["overlap_grad"] = max(errors["overlap_grad"], float(rel.max()))
+        note("overlap_grad", _grad_error(lambda arr: overlap_loss(arr, labels)[0],
+                                         pred, grad, coords, corrupt))
 
     ok = (errors["circle_global_value"] < 1e-10 and errors["circle_local_value"] < 1e-10
           and errors["rating_value"] < 1e-10

@@ -37,12 +37,12 @@ class DetectorParams:
 
 @dataclass(frozen=True)
 class MatchingParams:
-    cell_radius: float = 0.1
+    """Fine matching keeps the top fraction of cell pairs; cells themselves are
+    rows of the low-level neighbour graph, at ``descriptor.low_radius``."""
+
     top_fraction: float = 0.5
 
     def __post_init__(self):
-        if not self.cell_radius > 0:
-            raise ValidationError("cell_radius must be positive")
         if not 0 < self.top_fraction <= 1:
             raise ValidationError("top_fraction must be in (0, 1]")
 

@@ -30,7 +30,10 @@ def save_xyz(path, cloud: PointCloud) -> None:
 
 def load_xyz(path) -> PointCloud:
     rows = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    # Undecodable bytes become U+FFFD, so a binary file fails the checks below
+    # instead of escaping as a UnicodeDecodeError.
+    text = Path(path).read_text(errors="replace")
+    for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
@@ -61,7 +64,7 @@ def save_ply(path, cloud: PointCloud) -> None:
 
 
 def load_ply(path) -> PointCloud:
-    lines = Path(path).read_text().splitlines()
+    lines = Path(path).read_text(errors="replace").splitlines()  # as in load_xyz
     if not lines or lines[0].strip() != "ply":
         raise ValidationError(f"{path}: not a PLY file")
     count = None
@@ -73,17 +76,20 @@ def load_ply(path) -> PointCloud:
         tokens = line.split()
         if not tokens:
             continue
-        if tokens[0] == "format":
-            fmt_ok = tokens[1] == "ascii"
-        elif tokens[0] == "element":
-            in_vertex = tokens[1] == "vertex"
-            if in_vertex:
-                count = int(tokens[2])
-        elif tokens[0] == "property" and in_vertex:
-            properties.append(tokens[-1])
-        elif tokens[0] == "end_header":
-            body_at = i + 1
-            break
+        try:
+            if tokens[0] == "format":
+                fmt_ok = tokens[1] == "ascii"
+            elif tokens[0] == "element":
+                in_vertex = tokens[1] == "vertex"
+                if in_vertex:
+                    count = int(tokens[2])
+            elif tokens[0] == "property" and in_vertex:
+                properties.append(tokens[-1])
+            elif tokens[0] == "end_header":
+                body_at = i + 1
+                break
+        except (IndexError, ValueError) as exc:
+            raise ValidationError(f"{path}:{i + 1}: bad header line {line!r}") from exc
     if not fmt_ok:
         raise ValidationError(f"{path}: only ascii PLY is supported")
     if count is None or body_at is None:
@@ -93,11 +99,14 @@ def load_ply(path) -> PointCloud:
     except ValueError as exc:
         raise ValidationError(f"{path}: vertex element lacks x/y/z properties") from exc
     rows = []
-    for line in lines[body_at:body_at + count]:
+    for lineno, line in enumerate(lines[body_at:body_at + count], start=body_at + 1):
         fields = line.split()
         if len(fields) < len(properties):
             raise ValidationError(f"{path}: truncated vertex row")
-        rows.append([float(fields[c]) for c in cols])
+        try:
+            rows.append([float(fields[c]) for c in cols])
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     if len(rows) != count:
         raise ValidationError(f"{path}: expected {count} vertices, found {len(rows)}")
     return PointCloud(np.asarray(rows), cloud_id=Path(path).stem)

@@ -23,7 +23,13 @@ from .cloud import (
     build_index,
     transform_points,
 )
-from .descriptors import DescriptorSet, Level, compute_descriptors, estimate_normals
+from .descriptors import (
+    DescriptorParams,
+    DescriptorSet,
+    Level,
+    compute_descriptors,
+    estimate_normals,
+)
 from .detectors import (
     KeypointSet,
     ScoreSet,
@@ -107,6 +113,18 @@ class RegistrationResult:
     timings_ms: dict[str, float] = field(default_factory=dict)
     source_keypoints: KeypointSet | None = None
     target_keypoints: KeypointSet | None = None
+
+
+def describe_cloud(cloud: PointCloud, params: DescriptorParams
+                   ) -> tuple[SpatialIndex, DescriptorSet, DescriptorSet]:
+    """The index and the (low, high) descriptors of one cloud.
+
+    The normals are estimated once and shared by both levels.
+    """
+    index = build_index(cloud)
+    normals = estimate_normals(cloud, params.normal_radius, index=index)
+    return (index, compute_descriptors(cloud, Level.LOW, params, normals, index),
+            compute_descriptors(cloud, Level.HIGH, params, normals, index))
 
 
 def match_features(source_descriptors: DescriptorSet | np.ndarray,
@@ -263,7 +281,9 @@ def local_cell_match(source: PointCloud, target: PointCloud,
     Cells are closed balls of ``cell_radius`` around the pair's endpoints,
     read as rows of each index's memoised neighbour graph; a cell always
     holds its own endpoint. Weights are 1: ``select_fine_subset`` weights
-    the pairs it keeps.
+    the pairs it keeps. ``register`` passes the low-level radius, whose graph
+    the descriptors already built; at a radius nothing else uses, the first
+    call builds a whole-cloud graph at that radius.
     """
     if not cell_radius > 0:
         raise ValidationError("cell_radius must be positive")
@@ -324,15 +344,8 @@ def register(source: PointCloud, target: PointCloud,
     t_start = time.perf_counter()
 
     tick = time.perf_counter()
-    src_index = build_index(source)
-    tgt_index = build_index(target)
-    dparams = config.descriptor
-    src_normals = estimate_normals(source, dparams.normal_radius, index=src_index)
-    tgt_normals = estimate_normals(target, dparams.normal_radius, index=tgt_index)
-    src_low = compute_descriptors(source, Level.LOW, dparams, src_normals, src_index)
-    src_high = compute_descriptors(source, Level.HIGH, dparams, src_normals, src_index)
-    tgt_low = compute_descriptors(target, Level.LOW, dparams, tgt_normals, tgt_index)
-    tgt_high = compute_descriptors(target, Level.HIGH, dparams, tgt_normals, tgt_index)
+    src_index, src_low, src_high = describe_cloud(source, config.descriptor)
+    tgt_index, tgt_low, tgt_high = describe_cloud(target, config.descriptor)
     timings["descriptors_ms"] = (time.perf_counter() - tick) * 1e3
 
     tick = time.perf_counter()
@@ -373,8 +386,10 @@ def register(source: PointCloud, target: PointCloud,
     timings["ransac_ms"] = (time.perf_counter() - tick) * 1e3
 
     tick = time.perf_counter()
+    # A cell is the low-level receptive field: a row of the graph the low
+    # descriptors already built.
     cells = [local_cell_match(source, target, (src_anchor, tgt_anchor), src_low, tgt_low,
-                              config.matching.cell_radius,
+                              config.descriptor.low_radius,
                               source_index=src_index, target_index=tgt_index).pairs
              for src_anchor, tgt_anchor in coarse.pairs[inlier_mask]]
     # Overlapping cells repeat pairs; keep one of each, in (source, target) order.

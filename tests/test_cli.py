@@ -12,15 +12,20 @@ import pytest
 from hireg import (
     DescriptorSet,
     Level,
+    NegativeMode,
     PointCloud,
     RigidTransform,
     RunConfig,
     SceneSpec,
+    build_sample_batch,
+    describe_cloud,
     generate_scene,
+    keypoint_rankings,
+    matchability_labels,
     register,
 )
 from hireg import io
-from hireg.cli import main
+from hireg.cli import _fd_gradient, main
 
 SRC_ROOT = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -69,6 +74,21 @@ class TestRegisterCommand:
         code = main(["register", "--src", str(tmp_path / "nope.ply"),
                      "--tgt", str(tmp_path / "nope.ply")])
         assert code == 1
+
+    def test_malformed_ply_exits_one(self, tmp_path, rng, capsys):
+        src, tgt, _ = write_identity_pair(tmp_path, rng, n=200)
+        bad = tmp_path / "bad.ply"
+        bad.write_text(src.read_text().replace("element vertex 200", "element vertex abc"))
+        assert main(["register", "--src", str(bad), "--tgt", str(tgt)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}:3: bad header line")
+
+    def test_removed_cell_radius_key_exits_one(self, tmp_path, rng, capsys):
+        src, tgt, _ = write_identity_pair(tmp_path, rng, n=200)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"matching": {"cell_radius": 0.1}}))
+        assert main(["register", "--src", str(src), "--tgt", str(tgt),
+                     "--config", str(config)]) == 1
+        assert "unknown keys ['cell_radius']" in capsys.readouterr().err
 
     def test_cli_matches_library_bit_exact(self, tmp_path, rng):
         scene = generate_scene(SceneSpec(shape="room", n_points=900, overlap=0.85,
@@ -203,6 +223,45 @@ class TestLabelsCommand:
         assert "low" in skipped[0]["skipped_reason"]
         assert len(labeled) == 3 - len(skipped)
 
+    def test_computed_descriptors_match_library(self, tmp_path):
+        # No --desc-* dumps: the command describes both clouds itself.
+        scene = generate_scene(SceneSpec(shape="room", n_points=600, overlap=0.7,
+                                         noise_sigma=0.005, seed=2))
+        src, tgt, gt = tmp_path / "s.ply", tmp_path / "t.ply", tmp_path / "gt.json"
+        io.save_ply(src, scene.source)
+        io.save_ply(tgt, scene.target)
+        io.save_transform(gt, scene.transform)
+        out = tmp_path / "labels.jsonl"
+        assert main(["labels", "--src", str(src), "--tgt", str(tgt), "--gt", str(gt),
+                     "--seed", "2", "--out", str(out)]) == 0
+
+        config = RunConfig(seed=2)
+        source, target = io.load_ply(src), io.load_ply(tgt)
+        _, src_low, src_high = describe_cloud(source, config.descriptor)
+        _, tgt_low, tgt_high = describe_cloud(target, config.descriptor)
+        batch = build_sample_batch(source, target, io.load_transform(gt), config.sampling,
+                                   config.anchors, config.seed)
+        high_bits, high_valid = matchability_labels(src_high, tgt_high, batch,
+                                                    NegativeMode.GLOBAL)
+        low_bits, low_valid = matchability_labels(src_low, tgt_low, batch,
+                                                  NegativeMode.LOCAL)
+        high_rank, low_rank = keypoint_rankings(high_bits, low_bits)
+        expected = []
+        for slot, anchor in enumerate(batch.anchors):
+            missing = [name for name, valid in (("high", high_valid), ("low", low_valid))
+                       if not valid[slot]]
+            if missing:
+                expected.append({"anchor": int(anchor), "skipped_reason":
+                                 f"empty sample set at level(s): {','.join(missing)}"})
+            else:
+                expected.append({"anchor": int(anchor), "m_high": int(high_bits[slot]),
+                                 "m_low": int(low_bits[slot]),
+                                 "r_high": int(high_rank[slot]),
+                                 "r_low": int(low_rank[slot])})
+        assert any("skipped_reason" in record for record in expected)
+        assert any("skipped_reason" not in record for record in expected)
+        assert out.read_text().splitlines() == [json.dumps(record) for record in expected]
+
     def test_zero_overlap_exits_two(self, tmp_path):
         a = PointCloud(np.zeros((2, 3)) + [[0, 0, 0], [1, 0, 0]])
         b = PointCloud(np.full((2, 3), 30.0))
@@ -234,6 +293,22 @@ class TestLosscheckCommand:
         assert main(["losscheck", "--seed", "0", "--corrupt"]) == 3
         err = capsys.readouterr().err
         assert "exceeded tolerance" in err
+
+    def test_fd_gradient_int_index(self):
+        # A quadratic: central differences equal the analytic gradient.
+        coeffs = np.array([0.5, -1.5, 2.0, 3.0])
+        x = np.array([0.3, -0.7, 1.1, 0.2])
+        coords = [2, 0, 3, 2]
+        fd = _fd_gradient(lambda arr: float(coeffs @ arr ** 2 + arr.sum()), x, coords)
+        np.testing.assert_allclose(fd, (2 * coeffs * x + 1)[coords], rtol=1e-8, atol=1e-9)
+
+    def test_fd_gradient_tuple_index(self):
+        coeffs = np.arange(1.0, 7.0).reshape(2, 3)
+        x = np.array([[0.4, -0.2, 0.9], [-1.3, 0.6, 0.1]])
+        coords = [(0, 2), (1, 0), (1, 2)]
+        fd = _fd_gradient(lambda arr: float((coeffs * arr ** 2).sum()), x, coords)
+        analytic = 2 * coeffs * x
+        np.testing.assert_allclose(fd, [analytic[c] for c in coords], rtol=1e-8, atol=1e-9)
 
     def test_deterministic_output(self, capsys):
         main(["losscheck", "--seed", "5"])

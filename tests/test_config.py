@@ -31,7 +31,8 @@ class TestRunConfig:
         assert config.ransac.inlier_threshold == 0.02
         assert config.detector == DetectorParams()
 
-    # Sections and knobs that nothing read; they are unknown keys now.
+    # Sections and knobs that nothing read, and matching.cell_radius, which
+    # repeated descriptor.low_radius; they are unknown keys now.
     @pytest.mark.parametrize("document", [
         {"circle": {}},
         {"targets": {}},
@@ -39,8 +40,9 @@ class TestRunConfig:
         {"matching": {"mutual": True}},
         {"matching": {"per_cell_selection": False}},
         {"ransac": {"seed": 0}},
+        {"matching": {"cell_radius": 0.1}},
     ], ids=["circle", "targets", "loss_weights", "matching.mutual",
-            "matching.per_cell_selection", "ransac.seed"])
+            "matching.per_cell_selection", "ransac.seed", "matching.cell_radius"])
     def test_removed_keys_rejected(self, document):
         with pytest.raises(ValidationError, match="unknown keys"):
             RunConfig.from_dict(document)
@@ -81,19 +83,19 @@ class TestRunConfig:
         {"descriptor": {"bins": 11.5}},
         {"ransac": {"max_iterations": "100"}},
         {"ransac": {"inlier_threshold": True}},
-        {"matching": {"cell_radius": "0.1"}},
+        {"matching": {"top_fraction": "0.5"}},
         {"matching": {"top_fraction": None}},
     ], ids=["seed-str", "seed-bool", "seed-float", "anchors-bool", "reduction-int",
-            "bins-float", "iterations-str", "threshold-bool", "radius-str", "fraction-null"])
+            "bins-float", "iterations-str", "threshold-bool", "fraction-str", "fraction-null"])
     def test_wrong_value_type_rejected(self, document):
         with pytest.raises(ValidationError, match="expected (int|float|str), got"):
             RunConfig.from_dict(document)
 
     def test_int_accepted_for_float_field(self):
-        config = RunConfig.from_dict({"matching": {"cell_radius": 1},
+        config = RunConfig.from_dict({"matching": {"top_fraction": 1},
                                       "sampling": {"global_negative": 2}})
-        assert config.matching.cell_radius == 1.0
-        assert type(config.matching.cell_radius) is float
+        assert config.matching.top_fraction == 1.0
+        assert type(config.matching.top_fraction) is float
         assert type(config.sampling.global_negative) is float
 
     def test_negative_seed_rejected(self):
@@ -110,7 +112,7 @@ class TestRunConfig:
         with pytest.raises(ValidationError):
             DetectorParams(saliency_k=1)
         with pytest.raises(ValidationError):
-            MatchingParams(cell_radius=0.0)
+            MatchingParams(top_fraction=0.0)
         with pytest.raises(ValidationError):
             MetricParams(fmr_threshold=1.0)
         with pytest.raises(ValidationError):

@@ -15,6 +15,7 @@ import pytest
 
 from hireg import (
     CorrespondenceSet,
+    DescriptorParams,
     Level,
     RunConfig,
     SceneSpec,
@@ -30,7 +31,7 @@ from hireg import (
     select_fine_subset,
     weighted_svd,
 )
-from hireg.config import DetectorParams, MatchingParams
+from hireg.config import DetectorParams
 from hireg.detectors import ScoreSet, score_overlap_heuristic, score_saliency
 from hireg.matching import Stage, _ransac_with_stats
 
@@ -93,7 +94,7 @@ def _ref_register(source, target, config):
     detection = scores["src", Level.LOW].detection
     inliers = coarse.pairs[inlier_mask]
     cells = [_ref_cell(source, target, pair, descs["src", Level.LOW],
-                       descs["tgt", Level.LOW], config.matching.cell_radius,
+                       descs["tgt", Level.LOW], config.descriptor.low_radius,
                        indices["src"], indices["tgt"], detection)
              for pair in inliers]
     all_pairs = np.vstack([c[0] for c in cells])
@@ -138,11 +139,12 @@ def test_default_config_matches_reference(seed):
 
 
 def test_overlapping_cells_and_fine_cap_match_reference():
-    # Cells of 0.25 m around neighbouring inliers overlap, so the same pair is
-    # found in several cells; the cap of 12 then cuts the ranked subset.
+    # Cells of 0.25 m (the low-level radius) around neighbouring inliers
+    # overlap, so the same pair is found in several cells; the cap of 12 then
+    # cuts the ranked subset.
     scene = generate_scene(SceneSpec(shape="room", n_points=2000, overlap=0.7,
                                      noise_sigma=0.005, seed=3))
-    config = RunConfig(seed=3, matching=MatchingParams(cell_radius=0.25),
+    config = RunConfig(seed=3, descriptor=DescriptorParams(low_radius=0.25),
                        detector=DetectorParams(fine_samples=12))
     ref = _ref_register(scene.source, scene.target, config)
     assert ref["raw_count"] > ref["deduped_count"]

@@ -30,6 +30,12 @@ class TestXyz:
         back = io.load_xyz(path)
         np.testing.assert_array_equal(back.points, [[1, 2, 3], [4, 5, 6]])
 
+    def test_rejects_binary_file(self, tmp_path):
+        path = tmp_path / "c.xyz"
+        path.write_bytes(b"\xff\xfe 1 2\n")
+        with pytest.raises(ValidationError, match=r"c\.xyz:1:"):
+            io.load_xyz(path)
+
     def test_bad_column_count(self, tmp_path):
         path = tmp_path / "c.xyz"
         path.write_text("1 2\n")
@@ -83,6 +89,28 @@ class TestPly:
             "property float x", "property float y", "end_header", "1 2",
         ]) + "\n")
         with pytest.raises(ValidationError):
+            io.load_ply(path)
+
+    def test_rejects_binary_body(self, tmp_path):
+        # A binary body used to escape as a UnicodeDecodeError.
+        path = tmp_path / "c.ply"
+        path.write_bytes(b"ply\nformat binary_little_endian 1.0\nelement vertex 1\n"
+                         b"property float x\nproperty float y\nproperty float z\n"
+                         b"end_header\n\xff\xfe\x00\x80\x81\x82\x83\x84\x85\x86\x87\x88")
+        with pytest.raises(ValidationError, match="only ascii PLY"):
+            io.load_ply(path)
+
+    # Each of these used to escape as a bare ValueError or IndexError.
+    @pytest.mark.parametrize("lines, message", [
+        (["format ascii 1.0", "element vertex abc"], r"c\.ply:3: bad header line"),
+        (["format"], r"c\.ply:2: bad header line"),
+        (["format ascii 1.0", "element vertex 2"], r"c\.ply:9: .*'zz'"),
+    ], ids=["vertex-count-not-int", "bare-format", "coordinate-not-number"])
+    def test_rejects_malformed_file(self, tmp_path, lines, message):
+        path = tmp_path / "c.ply"
+        path.write_text("\n".join(["ply", *lines, "property float x", "property float y",
+                                   "property float z", "end_header", "1 2 3", "0 zz 0"]) + "\n")
+        with pytest.raises(ValidationError, match=message):
             io.load_ply(path)
 
     def test_dispatch_by_suffix(self, tmp_path, cloud):
