@@ -50,8 +50,7 @@ EXIT_NUMERICAL = 3
 
 _CONSENSUS_ERRORS = (NoConsensusError, NoCorrespondenceError)
 _VALIDATION_ERRORS = (ValidationError, GenerationError, DegenerateGeometryError,
-                      DegenerateBatchError, DegenerateScoreError, FileNotFoundError,
-                      json.JSONDecodeError)
+                      DegenerateBatchError, DegenerateScoreError, FileNotFoundError)
 
 
 def _threads() -> int:
@@ -168,7 +167,7 @@ def _parse_bench_spec(spec, source: str) -> tuple[list[dict], list[int] | None]:
 def cmd_bench(args) -> int:
     workers = _threads()
     config = _load_run_config(args)
-    entries, samples = _parse_bench_spec(json.loads(Path(args.spec).read_text()), args.spec)
+    entries, samples = _parse_bench_spec(io.load_json(args.spec), args.spec)
     samples = args.samples or samples or [config.detector.coarse_samples]
 
     blocks: dict[int, list] = {}

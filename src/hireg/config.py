@@ -16,6 +16,7 @@ from typing import get_type_hints
 
 from .descriptors import DescriptorParams
 from .errors import ValidationError
+from .io import load_json
 from .matching import RansacParams
 from .training import SamplingRadii
 
@@ -134,11 +135,7 @@ def _scalar(value, expected: type, context: str):
 
 
 def load_config(path) -> RunConfig:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
-    return RunConfig.from_dict(data)
+    return RunConfig.from_dict(load_json(path))
 
 
 def save_config(path, config: RunConfig) -> None:

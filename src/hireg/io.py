@@ -1,5 +1,8 @@
 """File formats: ASCII PLY, plain XYZ, transform JSON, descriptor dumps.
 
+Every JSON input (run config, transform, bench spec, descriptor sidecar) is
+read by ``load_json``, as UTF-8.
+
 Point writers emit 9 significant digits. The descriptor dump is binary
 little-endian: magic ``HDRG``, one level byte (0 = low, 1 = high), u32 count,
 u32 dimension, then row-major float32 values, with a JSON sidecar at
@@ -131,6 +134,15 @@ def save_cloud(path, cloud: PointCloud) -> None:
         raise ValidationError(f"{path}: unsupported cloud format (use .ply or .xyz)")
 
 
+def load_json(path):
+    """Parse a JSON file; one that is not UTF-8 JSON is a ValidationError
+    naming the file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
+
+
 def transform_to_dict(transform: RigidTransform) -> dict:
     return {
         "rotation": [float(v) for v in transform.rotation.reshape(-1)],
@@ -152,7 +164,7 @@ def save_transform(path, transform: RigidTransform) -> None:
 
 
 def load_transform(path) -> RigidTransform:
-    return transform_from_dict(json.loads(Path(path).read_text()))
+    return transform_from_dict(load_json(path))
 
 
 def save_descriptors(path, descriptors: DescriptorSet,
@@ -183,5 +195,5 @@ def load_descriptors(path) -> tuple[DescriptorSet, dict | None]:
         raise ValidationError(f"{path}: expected {expected} bytes, found {len(blob)}")
     vec = np.frombuffer(blob[head:], dtype="<f4").reshape(count, dim).astype(np.float64)
     sidecar_path = Path(str(path) + ".json")
-    sidecar = json.loads(sidecar_path.read_text()) if sidecar_path.exists() else None
+    sidecar = load_json(sidecar_path) if sidecar_path.exists() else None
     return DescriptorSet(level, vec), sidecar

@@ -19,17 +19,26 @@ slice, as the per-anchor ``e.sum()`` was: ``np.add.reduceat`` and
 changes the last bits of per-anchor loss terms. Gradients come from one
 sparse weight matrix per sample kind, with rows for anchors and columns for
 target points.
+
+The distance pass runs its rows in fixed ranges on the shared worker pool
+(``cloud.map_chunks``), each range with its own buffers and the same inner
+chunks, so the distances do not depend on the worker count. A batch keeps
+the positive and negative row distances of each (source ``DescriptorSet``,
+target ``DescriptorSet``, negative mode) it has seen for its lifetime, so
+``circle_loss`` and ``matchability_labels`` on the same sets share one pass:
+about 7 MB per global-negative entry at 256 anchors on 5k points. Raw
+arrays are never memoised, as a caller may change them in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 from scipy import sparse
 
-from .cloud import PointCloud, RigidTransform, build_index, transform_points
+from .cloud import PointCloud, RigidTransform, build_index, map_chunks, transform_points
 from .descriptors import DescriptorSet
 from .errors import (
     DegenerateBatchError,
@@ -41,6 +50,8 @@ _CLAMP = 1e-7
 # Rows of the flattened (anchor, target) layout whose feature differences
 # are held at once; two such buffers stay in cache during a distance pass.
 _CHUNK_ROWS = 1024
+# Rows of one pool task in a distance pass, a whole number of chunks.
+_RANGE_ROWS = 64 * _CHUNK_ROWS
 
 
 class NegativeMode(str, Enum):
@@ -121,6 +132,9 @@ class SampleBatch:
     global_negatives: tuple[np.ndarray, ...]
     requested: int
     eligible: int
+    # (id(source), id(target), mode) -> (source, target, row distances) for
+    # DescriptorSet inputs; the sets are kept to check identity with ``is``.
+    _distances: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.anchors)
@@ -206,14 +220,16 @@ class CircleLossResult:
     skipped_anchors: tuple[int, ...]
 
 
-def _exponents(margin_gap: np.ndarray, params: CircleLossParams) -> tuple[np.ndarray, np.ndarray]:
-    """Exponent g(x) and derivative g'(x) for a margin gap x.
+def _exponents(margin_gap: np.ndarray,
+               params: CircleLossParams) -> tuple[np.ndarray, np.ndarray | float]:
+    """Exponent g(x) and derivative g'(x) for a margin gap x; the constant
+    weighting's derivative is the scalar scale.
 
     Positives use x = d - positive_margin, negatives x = negative_margin - d;
     in both conventions g must be increasing in x.
     """
     if params.weighting == "constant":
-        return params.scale * margin_gap, np.full_like(margin_gap, params.scale)
+        return params.scale * margin_gap, params.scale
     relu = np.maximum(margin_gap, 0.0)
     return params.scale * relu * margin_gap, 2.0 * params.scale * relu
 
@@ -239,21 +255,25 @@ class _FlatSets:
 
     def distances(self, f_anchor: np.ndarray, f_tgt: np.ndarray) -> np.ndarray:
         """Exact feature distance of every row, ``f_anchor`` indexed by slot."""
-        n = len(self.targets)
-        dist = np.empty(n)
-        diff = np.empty((min(n, _CHUNK_ROWS), f_tgt.shape[1]))
-        other = np.empty_like(diff)
-        for start in range(0, n, _CHUNK_ROWS):
-            stop = min(start + _CHUNK_ROWS, n)
-            a, t = diff[:stop - start], other[:stop - start]
-            # Indices are in range by construction; "clip" lets take write
-            # into the buffer directly.
-            np.take(f_anchor, self.slots[start:stop], axis=0, out=a, mode="clip")
-            np.take(f_tgt, self.targets[start:stop], axis=0, out=t, mode="clip")
-            np.subtract(a, t, out=a)
-            np.multiply(a, a, out=a)
-            np.add.reduce(a, axis=1, out=dist[start:stop])
-        return np.sqrt(dist, out=dist)
+        dist = np.empty(len(self.targets))
+
+        def measure(start: int, stop: int) -> None:
+            diff = np.empty((min(stop - start, _CHUNK_ROWS), f_tgt.shape[1]))
+            other = np.empty_like(diff)
+            for lo in range(start, stop, _CHUNK_ROWS):
+                hi = min(lo + _CHUNK_ROWS, stop)
+                a, t = diff[:hi - lo], other[:hi - lo]
+                # Indices are in range by construction; "clip" lets take
+                # write into the buffer directly.
+                np.take(f_anchor, self.slots[lo:hi], axis=0, out=a, mode="clip")
+                np.take(f_tgt, self.targets[lo:hi], axis=0, out=t, mode="clip")
+                np.subtract(a, t, out=a)
+                np.multiply(a, a, out=a)
+                np.add.reduce(a, axis=1, out=dist[lo:hi])
+            np.sqrt(dist[start:stop], out=dist[start:stop])
+
+        map_chunks(measure, len(dist), _RANGE_ROWS)
+        return dist
 
     def sums(self, values: np.ndarray) -> np.ndarray:
         """Pairwise ``.sum()`` of each slot's slice of ``values``."""
@@ -272,16 +292,32 @@ def _usable_slots(batch: SampleBatch, mode: NegativeMode) -> np.ndarray:
                      for pos, neg in zip(batch.positives, negatives)], dtype=bool)
 
 
-def _flat_samples(f_src: np.ndarray, f_tgt: np.ndarray, batch: SampleBatch,
-                  mode: NegativeMode, slots: np.ndarray):
+def _flat_samples(features: tuple, f_src: np.ndarray, f_tgt: np.ndarray,
+                  batch: SampleBatch, mode: NegativeMode, slots: np.ndarray):
     """Anchor features of ``slots``, and their positive and negative sets
-    flattened, each with its row distances."""
+    flattened, each with its row distances.
+
+    ``features`` is the (source, target) pair the caller was given and
+    ``f_src``, ``f_tgt`` its matrices; ``slots`` are the usable slots of
+    (batch, mode). When both are ``DescriptorSet``s, the distances come from
+    the batch's memo if it holds these very sets for ``mode``, and are stored
+    there otherwise.
+    """
+    source, target = features
     f_anchor = f_src[batch.anchors[slots]]
-    flat = []
-    for sets in (batch.positives, batch.negatives(mode)):
-        rows = _FlatSets.of([sets[s] for s in slots], len(f_tgt))
-        flat.append((rows, rows.distances(f_anchor, f_tgt)))
-    return f_anchor, flat
+    rows = [_FlatSets.of([sets[s] for s in slots], len(f_tgt))
+            for sets in (batch.positives, batch.negatives(mode))]
+    key = (id(source), id(target), NegativeMode(mode))
+    entry = batch._distances.get(key)
+    if entry is not None and entry[0] is source and entry[1] is target:
+        dists = entry[2]
+    else:
+        dists = tuple(r.distances(f_anchor, f_tgt) for r in rows)
+        if isinstance(source, DescriptorSet) and isinstance(target, DescriptorSet):
+            for d in dists:
+                d.setflags(write=False)
+            batch._distances[key] = (source, target, dists)
+    return f_anchor, list(zip(rows, dists))
 
 
 def _sample_features(source_features, target_features) -> tuple[np.ndarray, np.ndarray]:
@@ -307,12 +343,14 @@ def circle_loss(source_features, target_features, batch: SampleBatch,
     if not usable.any():
         raise DegenerateBatchError("every anchor was skipped (empty sample sets)")
     slots = np.flatnonzero(usable)
-    f_anchor, ((pos, d_p), (neg, d_n)) = _flat_samples(f_src, f_tgt, batch, mode, slots)
+    f_anchor, ((pos, d_p), (neg, d_n)) = _flat_samples(
+        (source_features, target_features), f_src, f_tgt, batch, mode, slots)
 
     g_p, dg_p = _exponents(d_p - params.positive_margin, params)
     g_n, dg_n = _exponents(params.negative_margin - d_n, params)
-    e_p = np.exp(g_p)
-    e_n = np.exp(g_n)
+    # g is a fresh array, so exp overwrites it: one fewer temporary per row
+    e_p = np.exp(g_p, out=g_p)
+    e_n = np.exp(g_n, out=g_n)
     sum_p = pos.sums(e_p)
     sum_n = neg.sums(e_n)
     used = len(slots)
@@ -364,7 +402,8 @@ def matchability_labels(source_features, target_features, batch: SampleBatch,
     if not valid.any():
         return bits, valid
     slots = np.flatnonzero(valid)
-    _, ((pos, d_pos), (neg, d_neg)) = _flat_samples(f_src, f_tgt, batch, mode, slots)
+    _, ((pos, d_pos), (neg, d_neg)) = _flat_samples(
+        (source_features, target_features), f_src, f_tgt, batch, mode, slots)
     if positive_reduction == "min":
         reduced = pos.minima(d_pos)
     else:  # the sum over the count, as np.mean computes it

@@ -474,6 +474,58 @@ class TestBenchCommand:
         assert "HIREG_THREADS" in capsys.readouterr().err
 
 
+class TestNonUtf8Json:
+    """Every JSON input that is not UTF-8 exits 1 with an error naming the
+    file, not a UnicodeDecodeError traceback. Each file starts with the
+    bytes ff fe (a UTF-16 byte-order mark)."""
+
+    def _labels_run(self, tmp_path):
+        """A valid ``hireg labels`` run with a config and descriptor dumps,
+        and the JSON files it reads."""
+        n = 30
+        cloud = line_cloud(n)
+        src, tgt, gt = (tmp_path / name for name in ("src.xyz", "tgt.xyz", "gt.json"))
+        io.save_xyz(src, cloud)
+        io.save_xyz(tgt, cloud)
+        io.save_transform(gt, RigidTransform.identity())
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"anchors": 8}))
+        argv = ["labels", "--src", str(src), "--tgt", str(tgt), "--gt", str(gt),
+                "--config", str(config), "--seed", "0", "--out", str(tmp_path / "l.jsonl")]
+        for flag, level, seed in (("--desc-src-low", Level.LOW, 1),
+                                  ("--desc-src-high", Level.HIGH, 2),
+                                  ("--desc-tgt-low", Level.LOW, 1),
+                                  ("--desc-tgt-high", Level.HIGH, 2)):
+            path = tmp_path / f"{flag[2:]}.hdrg"
+            io.save_descriptors(path, distinct_descriptors(n, 8, level, seed))
+            argv += [flag, str(path)]
+        assert main(argv) == 0
+        return argv, {"config": config, "gt": gt,
+                      "sidecar": Path(str(tmp_path / "desc-src-high.hdrg") + ".json")}
+
+    def _break(self, path: Path) -> None:
+        path.write_bytes(b"\xff\xfe" + path.read_text().encode("utf-16-le"))
+
+    def _assert_named_error(self, capsys, argv, path) -> None:
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: invalid JSON: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("which", ["config", "gt", "sidecar"])
+    def test_labels_input(self, tmp_path, capsys, which):
+        argv, inputs = self._labels_run(tmp_path)
+        self._break(inputs[which])
+        self._assert_named_error(capsys, argv, inputs[which])
+
+    def test_bench_spec(self, tmp_path, capsys):
+        spec = tmp_path / "bench.json"
+        spec.write_text(json.dumps({"pairs": [{"scene": {"shape": "room"}}]}))
+        self._break(spec)
+        self._assert_named_error(capsys, ["bench", "--spec", str(spec)], spec)
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_losscheck(self):
         env = dict(os.environ, PYTHONPATH=SRC_ROOT)

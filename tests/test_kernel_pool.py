@@ -23,8 +23,10 @@ from hireg import (
     DescriptorParams,
     Level,
     RunConfig,
+    SamplingRadii,
     SceneSpec,
     build_index,
+    build_sample_batch,
     compute_descriptors,
     estimate_normals,
     generate_scene,
@@ -32,6 +34,7 @@ from hireg import (
 )
 from hireg import cloud
 from hireg.detectors import pairwise_feature_nn, score_overlap_heuristic, score_saliency
+from hireg.training import _RANGE_ROWS, _FlatSets
 
 _TIMEOUT_S = 300
 _MIB = 2 ** 20
@@ -91,6 +94,35 @@ class TestWorkerCount:
         for key in expected:
             assert got[key].dtype == expected[key].dtype, key
             assert np.array_equal(got[key], expected[key]), key
+
+    def test_training_distances_do_not_depend_on_workers(self, monkeypatch):
+        """The sample-distance pass of a 5k room batch: inline, on a 1-worker
+        and on a 3-worker pool, every row's distance has the same bits."""
+        room = generate_scene(SceneSpec(shape="room", n_points=5000, overlap=0.7, seed=1000))
+        batch = build_sample_batch(room.source, room.target, room.transform,
+                                   SamplingRadii(), 256, seed=1)
+        rng = np.random.default_rng(0)
+        f_src, f_tgt = (rng.normal(size=(len(pc), 33)) for pc in (room.source, room.target))
+        f_anchor = f_src[batch.anchors]
+        flat = [_FlatSets.of(sets, len(f_tgt))
+                for sets in (batch.positives, batch.local_negatives, batch.global_negatives)]
+        assert len(flat[2].targets) > 4 * _RANGE_ROWS  # several ranges per worker
+        results = []
+        for workers in (0, 1, 3):
+            with monkeypatch.context() as patch:
+                if workers == 0:  # inline, as on a single CPU
+                    patch.setattr(cloud, "worker_count", lambda: 1)
+                    pool = None
+                else:
+                    pool = _use_pool(patch, workers)
+                try:
+                    results.append([rows.distances(f_anchor, f_tgt) for rows in flat])
+                finally:
+                    if pool is not None:
+                        pool.shutdown()
+        for got in results[1:]:
+            for a, b in zip(got, results[0]):
+                assert np.array_equal(a, b)
 
     def test_feature_nn_does_not_depend_on_block(self, scene):
         params = DescriptorParams()

@@ -6,6 +6,7 @@ share no code with the implementation.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ import pytest
 from hireg import (
     CircleLossParams,
     DegenerateBatchError,
+    DescriptorSet,
+    Level,
     LossWeights,
     NegativeMode,
     NoCorrespondenceError,
@@ -31,6 +34,8 @@ from hireg import (
     rating_loss,
     total_loss,
 )
+from hireg import training
+from hireg.training import CircleLossResult
 
 from conftest import random_transform
 
@@ -397,6 +402,81 @@ class TestMatchability:
             matchability_labels(f_src, f_tgt, batch, NegativeMode.GLOBAL)
         with pytest.raises(ValidationError):
             circle_loss(f_src, f_tgt, batch, NegativeMode.GLOBAL, CircleLossParams())
+
+
+class TestDistanceMemo:
+    """A batch keeps the row distances of each (source DescriptorSet, target
+    DescriptorSet, mode); outputs never differ from a batch without them."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """Counts distance passes, one per flattened sample set."""
+        count = [0]
+        distances = training._FlatSets.distances
+
+        def counted(rows, f_anchor, f_tgt):
+            count[0] += 1
+            return distances(rows, f_anchor, f_tgt)
+
+        monkeypatch.setattr(training._FlatSets, "distances", counted)
+        return count
+
+    @staticmethod
+    def _sets(rng, dim=6):
+        return (DescriptorSet(Level.HIGH, unit_rows(rng, 8, dim)),
+                DescriptorSet(Level.HIGH, unit_rows(rng, 40, dim)))
+
+    @staticmethod
+    def _assert_same(got, expected):
+        if isinstance(got, CircleLossResult):
+            assert got.loss == expected.loss
+            assert got.used_anchors == expected.used_anchors
+            assert got.skipped_anchors == expected.skipped_anchors
+            got = (got.grad_source, got.grad_target)
+            expected = (expected.grad_source, expected.grad_target)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("labels_first", [False, True], ids=["loss-first", "labels-first"])
+    @pytest.mark.parametrize("mode", [NegativeMode.GLOBAL, NegativeMode.LOCAL])
+    def test_hit_equals_fresh_batch(self, rng, passes, labels_first, mode):
+        src, tgt = self._sets(rng)
+        batch = make_batch(rng)
+        params = CircleLossParams()
+        calls = [lambda b: circle_loss(src, tgt, b, mode, params),
+                 lambda b: matchability_labels(src, tgt, b, mode)]
+        if labels_first:
+            calls.reverse()
+        fresh = [call(replace(batch)) for call in calls]
+        passes[0] = 0
+        memoised = [call(batch) for call in calls]
+        assert passes[0] == 2  # one pass over positives and one over negatives
+        assert list(batch._distances) == [(id(src), id(tgt), mode)]
+        for got, expected in zip(memoised, fresh):
+            self._assert_same(got, expected)
+
+    def test_raw_arrays_are_not_memoised(self, rng):
+        f_src, f_tgt = (s.vectors.copy() for s in self._sets(rng))
+        batch = make_batch(rng)
+        params = CircleLossParams()
+        before = circle_loss(f_src, f_tgt, batch, NegativeMode.GLOBAL, params)
+        assert not batch._distances
+        f_tgt[batch.positives[0][0]] *= -1.0  # in place, as a caller may
+        after = circle_loss(f_src, f_tgt, batch, NegativeMode.GLOBAL, params)
+        assert after.loss != before.loss
+        self._assert_same(after, circle_loss(f_src, f_tgt, replace(batch),
+                                             NegativeMode.GLOBAL, params))
+
+    def test_equal_but_distinct_set_misses(self, rng, passes):
+        src, tgt = self._sets(rng)
+        twin = DescriptorSet(tgt.level, tgt.vectors)
+        batch = make_batch(rng)
+        first = matchability_labels(src, tgt, batch, NegativeMode.GLOBAL)
+        passes[0] = 0
+        second = matchability_labels(src, twin, batch, NegativeMode.GLOBAL)
+        assert passes[0] == 2
+        assert len(batch._distances) == 2
+        self._assert_same(second, first)
 
 
 class TestKeypointRankings:
