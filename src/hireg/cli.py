@@ -50,7 +50,7 @@ EXIT_NUMERICAL = 3
 
 _CONSENSUS_ERRORS = (NoConsensusError, NoCorrespondenceError)
 _VALIDATION_ERRORS = (ValidationError, GenerationError, DegenerateGeometryError,
-                      DegenerateBatchError, DegenerateScoreError, FileNotFoundError)
+                      DegenerateBatchError, DegenerateScoreError)
 
 
 def _threads() -> int:
@@ -483,6 +483,12 @@ def main(argv=None) -> int:
         return EXIT_NO_CONSENSUS
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as exc:
+        if exc.filename is None:  # not about a path on the command line
+            raise
+        # a path that is missing, a directory, or not readable
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -2,10 +2,11 @@
 worker pool the kernels share.
 
 Everything here is immutable after construction and safe to share across
-threads. The spatial index memoises one read-only neighbour graph per radius,
-a pure function of (cloud, radius): threads racing on a radius build equal
-graphs, and either may be kept. Distances are Euclidean, radii are meters,
-radius queries use closed balls (boundary points included).
+threads. The spatial index memoises one read-only neighbour graph per radius
+and one self k-NN per k, pure functions of (cloud, radius) and (cloud, k):
+threads racing on a key build equal results, and either may be kept.
+Distances are Euclidean, radii are meters, radius queries use closed balls
+(boundary points included).
 
 The descriptor and score kernels split their work into fixed-size chunks of
 rows and run them on one process-wide pool with a worker per CPU the process
@@ -204,6 +205,7 @@ class SpatialIndex:
     cloud: PointCloud
     _tree: cKDTree = field(repr=False)
     _graphs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _self_knn: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _graph(self, centers: np.ndarray, keys: np.ndarray, radius: float) -> NeighborGraph:
         """Exact closed balls from kd-tree candidate keys ``row * n + point``."""
@@ -253,6 +255,17 @@ class SpatialIndex:
         dists, idx = self._tree.query(np.asarray(centers, dtype=np.float64), k=k,
                                       workers=worker_count())
         return np.atleast_2d(dists), np.atleast_2d(idx)
+
+    def self_knn(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """``knn_batch`` of the indexed points themselves, memoised per ``k``
+        and read-only."""
+        found = self._self_knn.get(k)
+        if found is None:
+            found = self.knn_batch(self.cloud.points, k)
+            for array in found:
+                array.setflags(write=False)
+            self._self_knn[k] = found
+        return found
 
 
 def build_index(cloud: PointCloud) -> SpatialIndex:

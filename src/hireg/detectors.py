@@ -128,7 +128,9 @@ def score_saliency(cloud: PointCloud, descriptors: DescriptorSet,
     if len(descriptors) != n:
         raise ValidationError("descriptors must match the cloud point-for-point")
 
-    _, idx = index.knn_batch(cloud.points, k + 1)
+    # The two levels of one cloud share its memoised self query.
+    _, idx = (index.self_knn(k + 1) if cloud is index.cloud
+              else index.knn_batch(cloud.points, k + 1))
     rows = np.arange(n)
     self_hits = idx == rows[:, None]
     drop = np.where(self_hits.any(axis=1), self_hits.argmax(axis=1), k)

@@ -7,27 +7,35 @@ labels/loss, and the total objective. Every differentiable loss returns its
 analytic gradient; gradients are the testable contract here, no optimizer is
 involved.
 
-The losses and labels run on one flattened layout of the per-anchor sample
-sets, the CSR idea of ``cloud.NeighborGraph``: slot ``s`` of a batch owns rows
+The losses and labels run on two layouts of the per-anchor sample sets.
+Positives and local negatives are flattened, the CSR idea of
+``cloud.NeighborGraph``: slot ``s`` of a batch owns rows
 ``offsets[s]:offsets[s + 1]``, and every row names its slot and its target
-index. Feature distances are taken per row as ``sqrt(add.reduce(diff * diff,
-axis=1))`` over fixed chunks of rows, which is what ``np.linalg.norm(axis=1)``
-computes, so each row's distance is the one a per-anchor loop would get.
-Per-anchor totals are a pairwise ``.sum()`` over each slot's contiguous
-slice, as the per-anchor ``e.sum()`` was: ``np.add.reduceat`` and
+index. Global negatives, every target outside the anchor's ball, fill nearly
+all of the (usable anchors x target points) cells, so they are held as one
+dense tile of those cells, and a slot's set is the cells of its tile row at
+its target indices. Feature distances are taken per row or cell as
+``sqrt(add.reduce(diff * diff, axis=1))`` over contiguous blocks of
+difference rows, which is what ``np.linalg.norm(axis=1)`` computes, so each
+distance is the one a per-anchor loop would get. Per-anchor totals are a
+pairwise ``.sum()`` over each slot's rows, or over its gathered tile cells,
+in set order, as the per-anchor ``e.sum()`` was: ``np.add.reduceat`` and
 ``np.bincount`` add a segment sequentially, which rounds differently and
 changes the last bits of per-anchor loss terms. Gradients come from one
-sparse weight matrix per sample kind, with rows for anchors and columns for
-target points.
+weight matrix per sample kind, with rows for anchors and columns for target
+points: sparse for flat rows, and for the tile a dense matrix that counts a
+repeated cell once per occurrence and whose two products are BLAS GEMMs on
+the calling thread.
 
-The distance pass runs its rows in fixed ranges on the shared worker pool
-(``cloud.map_chunks``), each range with its own buffers and the same inner
-chunks, so the distances do not depend on the worker count. A batch keeps
-the positive and negative row distances of each (source ``DescriptorSet``,
-target ``DescriptorSet``, negative mode) it has seen for its lifetime, so
-``circle_loss`` and ``matchability_labels`` on the same sets share one pass:
-about 7 MB per global-negative entry at 256 anchors on 5k points. Raw
-arrays are never memoised, as a caller may change them in place.
+The distance passes run on the shared worker pool (``cloud.map_chunks``):
+flat rows in fixed ranges, each range with its own buffers and the same
+inner chunks, and the tile in fixed ranges of anchor rows, so the distances
+do not depend on the worker count. A batch keeps the positive and negative
+distances of each (source ``DescriptorSet``, target ``DescriptorSet``,
+negative mode) it has seen for its lifetime, so ``circle_loss`` and
+``matchability_labels`` on the same sets share one pass: about 7 MB per
+global-negative tile at 256 anchors on 5k points. Raw arrays are never
+memoised, as a caller may change them in place.
 """
 
 from __future__ import annotations
@@ -52,6 +60,8 @@ _CLAMP = 1e-7
 _CHUNK_ROWS = 1024
 # Rows of one pool task in a distance pass, a whole number of chunks.
 _RANGE_ROWS = 64 * _CHUNK_ROWS
+# Anchor rows of one pool task in a tile distance pass.
+_TILE_SLOTS = 8
 
 
 class NegativeMode(str, Enum):
@@ -132,7 +142,7 @@ class SampleBatch:
     global_negatives: tuple[np.ndarray, ...]
     requested: int
     eligible: int
-    # (id(source), id(target), mode) -> (source, target, row distances) for
+    # (id(source), id(target), mode) -> (source, target, distances) for
     # DescriptorSet inputs; the sets are kept to check identity with ``is``.
     _distances: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -238,11 +248,12 @@ def _exponents(margin_gap: np.ndarray,
 class _FlatSets:
     """Index arrays of several slots flattened CSR-style: slot ``s`` owns rows
     ``offsets[s]:offsets[s + 1]``; ``slots`` and ``targets`` give each row's
-    slot and target index."""
+    slot and target index, which lies in ``[0, n_targets)``."""
 
     offsets: np.ndarray
     slots: np.ndarray
     targets: np.ndarray
+    n_targets: int
 
     @classmethod
     def of(cls, sets, n_targets: int) -> "_FlatSets":
@@ -251,7 +262,8 @@ class _FlatSets:
         targets = np.concatenate(sets).astype(np.intp, copy=False)
         if targets.size and not 0 <= targets.min() <= targets.max() < n_targets:
             raise ValidationError(f"sample indices must lie in [0, {n_targets})")
-        return cls(offsets, np.repeat(np.arange(len(sets), dtype=np.intp), counts), targets)
+        slots = np.repeat(np.arange(len(sets), dtype=np.intp), counts)
+        return cls(offsets, slots, targets, n_targets)
 
     def distances(self, f_anchor: np.ndarray, f_tgt: np.ndarray) -> np.ndarray:
         """Exact feature distance of every row, ``f_anchor`` indexed by slot."""
@@ -284,6 +296,71 @@ class _FlatSets:
         """Minimum of each slot's slice; every slot must be nonempty."""
         return np.minimum.reduceat(values, self.offsets[:-1])
 
+    def per_row(self, per_slot: np.ndarray) -> np.ndarray:
+        """Per-slot values spread over the layout ``distances`` returns."""
+        return per_slot[self.slots]
+
+    def weights(self, weight: np.ndarray) -> sparse.csr_array:
+        """The (slot, target) matrix of the per-row ``weight``."""
+        return sparse.csr_array((weight, self.targets, self.offsets),
+                                shape=(len(self.offsets) - 1, self.n_targets))
+
+
+@dataclass(frozen=True)
+class _TileSets:
+    """Index arrays of several slots read as cells of one dense (slot,
+    target) tile, for sets that cover nearly every target: ``distances``
+    fills every cell, and a slot's set is the cells ``values[slot][set]``,
+    gathered in the set's own order. The interface is ``_FlatSets``'s, with
+    a tile where that takes flat rows."""
+
+    sets: tuple[np.ndarray, ...]
+    n_targets: int
+
+    @classmethod
+    def of(cls, sets, n_targets: int) -> "_TileSets":
+        sets = tuple(np.asarray(s, dtype=np.intp) for s in sets)
+        if not all(0 <= s.min() and s.max() < n_targets for s in sets if s.size):
+            raise ValidationError(f"sample indices must lie in [0, {n_targets})")
+        return cls(sets, n_targets)
+
+    def distances(self, f_anchor: np.ndarray, f_tgt: np.ndarray) -> np.ndarray:
+        """Exact feature distance of every (slot, target) cell, with the
+        per-cell arithmetic of ``_FlatSets.distances``."""
+        tile = np.empty((len(f_anchor), len(f_tgt)))
+
+        def measure(start: int, stop: int) -> None:
+            diff = np.empty_like(f_tgt)
+            for s in range(start, stop):
+                # a contiguous subtraction is faster than one broadcasting
+                # the anchor over every target row
+                np.copyto(diff, f_anchor[s])
+                np.subtract(diff, f_tgt, out=diff)
+                np.multiply(diff, diff, out=diff)
+                np.add.reduce(diff, axis=1, out=tile[s])
+            np.sqrt(tile[start:stop], out=tile[start:stop])
+
+        map_chunks(measure, len(tile), _TILE_SLOTS)
+        return tile
+
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        """Pairwise ``.sum()`` of each slot's cells, as ``_FlatSets.sums``
+        takes it of the same values flattened."""
+        return np.array([row[s].sum() for row, s in zip(values, self.sets)])
+
+    def minima(self, values: np.ndarray) -> np.ndarray:
+        return np.array([row[s].min() for row, s in zip(values, self.sets)])
+
+    def per_row(self, per_slot: np.ndarray) -> np.ndarray:
+        return per_slot[:, None]
+
+    def weights(self, weight: np.ndarray) -> np.ndarray:
+        """``weight`` counted once per occurrence of each cell in its slot's
+        set, so a cell outside the set holds 0; updated in place."""
+        for row, s in zip(weight, self.sets):
+            row *= np.bincount(s, minlength=self.n_targets)
+        return weight
+
 
 def _usable_slots(batch: SampleBatch, mode: NegativeMode) -> np.ndarray:
     """Mask of the slots whose positive and selected negative sets are nonempty."""
@@ -292,10 +369,11 @@ def _usable_slots(batch: SampleBatch, mode: NegativeMode) -> np.ndarray:
                      for pos, neg in zip(batch.positives, negatives)], dtype=bool)
 
 
-def _flat_samples(features: tuple, f_src: np.ndarray, f_tgt: np.ndarray,
-                  batch: SampleBatch, mode: NegativeMode, slots: np.ndarray):
-    """Anchor features of ``slots``, and their positive and negative sets
-    flattened, each with its row distances.
+def _samples(features: tuple, f_src: np.ndarray, f_tgt: np.ndarray,
+             batch: SampleBatch, mode: NegativeMode, slots: np.ndarray):
+    """Anchor features of ``slots``, and their positive and negative sets,
+    each with its distances: global negatives as a tile, the others as flat
+    rows.
 
     ``features`` is the (source, target) pair the caller was given and
     ``f_src``, ``f_tgt`` its matrices; ``slots`` are the usable slots of
@@ -305,8 +383,10 @@ def _flat_samples(features: tuple, f_src: np.ndarray, f_tgt: np.ndarray,
     """
     source, target = features
     f_anchor = f_src[batch.anchors[slots]]
-    rows = [_FlatSets.of([sets[s] for s in slots], len(f_tgt))
-            for sets in (batch.positives, batch.negatives(mode))]
+    negatives = _TileSets if NegativeMode(mode) == NegativeMode.GLOBAL else _FlatSets
+    rows = [layout.of([sets[s] for s in slots], len(f_tgt))
+            for layout, sets in ((_FlatSets, batch.positives),
+                                 (negatives, batch.negatives(mode)))]
     key = (id(source), id(target), NegativeMode(mode))
     entry = batch._distances.get(key)
     if entry is not None and entry[0] is source and entry[1] is target:
@@ -343,7 +423,7 @@ def circle_loss(source_features, target_features, batch: SampleBatch,
     if not usable.any():
         raise DegenerateBatchError("every anchor was skipped (empty sample sets)")
     slots = np.flatnonzero(usable)
-    f_anchor, ((pos, d_p), (neg, d_n)) = _flat_samples(
+    f_anchor, ((pos, d_p), (neg, d_n)) = _samples(
         (source_features, target_features), f_src, f_tgt, batch, mode, slots)
 
     g_p, dg_p = _exponents(d_p - params.positive_margin, params)
@@ -359,16 +439,16 @@ def circle_loss(source_features, target_features, batch: SampleBatch,
 
     denom = 1.0 + sum_p * sum_n
     # d loss / d d_p,j  (and the negative-margin chain flips the sign)
-    dl_dp = sum_n[pos.slots] * e_p * dg_p / denom[pos.slots]
-    dl_dn = -sum_p[neg.slots] * e_n * dg_n / denom[neg.slots]
+    dl_dp = pos.per_row(sum_n) * e_p * dg_p / pos.per_row(denom)
+    dl_dn = -neg.per_row(sum_p) * e_n * dg_n / neg.per_row(denom)
     # W[s, t] = (d loss / d d) / d per row; a row at d == 0 has no direction.
     # d d / d f_a = (f_a - f_t) / d, hence grad_a = rowsum(W) f_a - W f_tgt
-    # and grad_t = colsum(W) f_t - W^T f_a.
+    # and grad_t = colsum(W) f_t - W^T f_a: sparse products for flat rows,
+    # BLAS GEMMs for a tile.
     grad_anchor = np.zeros_like(f_anchor)
     grad_tgt = np.zeros_like(f_tgt)
     for rows, dl, d in ((pos, dl_dp, d_p), (neg, dl_dn, d_n)):
-        weight = np.divide(dl, d, out=np.zeros_like(d), where=d > 0)
-        w = sparse.csr_array((weight, rows.targets, rows.offsets), shape=(used, len(f_tgt)))
+        w = rows.weights(np.divide(dl, d, out=np.zeros_like(d), where=d > 0))
         grad_anchor += w.sum(axis=1)[:, None] * f_anchor - w @ f_tgt
         grad_tgt += w.sum(axis=0)[:, None] * f_tgt - w.T @ f_anchor
     grad_src = np.zeros_like(f_src)
@@ -402,7 +482,7 @@ def matchability_labels(source_features, target_features, batch: SampleBatch,
     if not valid.any():
         return bits, valid
     slots = np.flatnonzero(valid)
-    _, ((pos, d_pos), (neg, d_neg)) = _flat_samples(
+    _, ((pos, d_pos), (neg, d_neg)) = _samples(
         (source_features, target_features), f_src, f_tgt, batch, mode, slots)
     if positive_reduction == "min":
         reduced = pos.minima(d_pos)

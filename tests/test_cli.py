@@ -526,6 +526,36 @@ class TestNonUtf8Json:
         self._assert_named_error(capsys, ["bench", "--spec", str(spec)], spec)
 
 
+class TestUnreadableInput:
+    """An input path that exists but cannot be read, here a directory, exits
+    1 with an error naming the path, not an OSError traceback."""
+
+    @pytest.mark.parametrize("which", ["config", "src", "gt"])
+    def test_directory_input_exits_one(self, tmp_path, capsys, which):
+        cloud = line_cloud(30)
+        inputs = {"src": tmp_path / "src.xyz", "tgt": tmp_path / "tgt.xyz",
+                  "gt": tmp_path / "gt.json", "config": tmp_path / "config.json"}
+        io.save_xyz(inputs["src"], cloud)
+        io.save_xyz(inputs["tgt"], cloud)
+        io.save_transform(inputs["gt"], RigidTransform.identity())
+        inputs["config"].write_text(json.dumps({"anchors": 8}))
+        inputs[which].unlink()
+        inputs[which].mkdir()
+        argv = ["labels", "--seed", "0", "--out", str(tmp_path / "l.jsonl")]
+        for flag in ("src", "tgt", "gt", "config"):
+            argv += [f"--{flag}", str(inputs[flag])]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {inputs[which]}: ")
+        assert "Traceback" not in err
+
+    def test_missing_input_names_the_path(self, tmp_path, capsys):
+        missing = tmp_path / "nope.ply"
+        assert main(["register", "--src", str(missing), "--tgt", str(missing)]) == 1
+        assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_losscheck(self):
         env = dict(os.environ, PYTHONPATH=SRC_ROOT)

@@ -326,6 +326,17 @@ class TestNeighborGraph:
                 assert np.array_equal(getattr(graph, name), getattr(expected[radius], name))
         assert set(index._graphs) == set(radii)
 
+    def test_self_knn_is_memoised_per_k(self, rng):
+        points = rng.uniform(-1, 1, size=(150, 3))
+        index = build_index(PointCloud(points))
+        for k in (5, 9):
+            dists, idx = index.self_knn(k)
+            assert index.self_knn(k)[1] is idx
+            assert not dists.flags.writeable and not idx.flags.writeable
+            raw_dists, raw_idx = index.knn_batch(points, k)
+            assert np.array_equal(idx, raw_idx) and np.array_equal(dists, raw_dists)
+        assert set(index._self_knn) == {5, 9}
+
     def test_radius_batch_without_centers(self, rng):
         index = build_index(PointCloud(rng.normal(size=(5, 3))))
         assert index.radius_batch(np.empty((0, 3)), 0.5) == []

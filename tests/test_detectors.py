@@ -16,6 +16,7 @@ from hireg import (
     score_overlap_heuristic,
     score_saliency,
 )
+from hireg.cloud import SpatialIndex
 from hireg.detectors import KeypointSet, ScoreSet
 
 
@@ -88,6 +89,28 @@ class TestScoreSaliency:
         descs = compute_descriptors(cloud, Level.LOW, DescriptorParams(), index=index)
         scores = score_saliency(cloud, descs, index, k=6)
         assert scores.min() >= 0.0 and scores.max() <= 1.0
+
+    def test_levels_of_one_cloud_share_one_knn_query(self, rng, monkeypatch):
+        cloud = PointCloud(rng.uniform(0, 0.5, size=(200, 3)))
+        index = build_index(cloud)
+        params = DescriptorParams()
+        levels = [compute_descriptors(cloud, level, params, index=index)
+                  for level in (Level.LOW, Level.HIGH)]
+        # An equal but distinct cloud is queried afresh, as any other cloud.
+        fresh = [score_saliency(PointCloud(cloud.points), descs, index, k=6)
+                 for descs in levels]
+        queries = []
+        knn_batch = SpatialIndex.knn_batch
+
+        def counted(self, centers, k):
+            queries.append(k)
+            return knn_batch(self, centers, k)
+
+        monkeypatch.setattr(SpatialIndex, "knn_batch", counted)
+        for descs, expected in zip(levels, fresh):
+            scores = score_saliency(cloud, descs, index, k=6)
+            assert scores.dtype == expected.dtype and np.array_equal(scores, expected)
+        assert queries == [7]
 
     def test_cloud_too_small_rejected(self, rng):
         cloud = PointCloud(rng.normal(size=(5, 3)))

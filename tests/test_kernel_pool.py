@@ -34,7 +34,7 @@ from hireg import (
 )
 from hireg import cloud
 from hireg.detectors import pairwise_feature_nn, score_overlap_heuristic, score_saliency
-from hireg.training import _RANGE_ROWS, _FlatSets
+from hireg.training import _RANGE_ROWS, _TILE_SLOTS, _FlatSets, _TileSets
 
 _TIMEOUT_S = 300
 _MIB = 2 ** 20
@@ -96,8 +96,10 @@ class TestWorkerCount:
             assert np.array_equal(got[key], expected[key]), key
 
     def test_training_distances_do_not_depend_on_workers(self, monkeypatch):
-        """The sample-distance pass of a 5k room batch: inline, on a 1-worker
-        and on a 3-worker pool, every row's distance has the same bits."""
+        """The sample-distance passes of a 5k room batch, flat rows and the
+        global-negative tile: inline, on a 1-worker and on a 3-worker pool,
+        every distance has the same bits, and a tile cell has the bits of the
+        flat row for the same (anchor, target)."""
         room = generate_scene(SceneSpec(shape="room", n_points=5000, overlap=0.7, seed=1000))
         batch = build_sample_batch(room.source, room.target, room.transform,
                                    SamplingRadii(), 256, seed=1)
@@ -106,7 +108,9 @@ class TestWorkerCount:
         f_anchor = f_src[batch.anchors]
         flat = [_FlatSets.of(sets, len(f_tgt))
                 for sets in (batch.positives, batch.local_negatives, batch.global_negatives)]
+        tile = _TileSets.of(batch.global_negatives, len(f_tgt))
         assert len(flat[2].targets) > 4 * _RANGE_ROWS  # several ranges per worker
+        assert len(batch) > 4 * _TILE_SLOTS
         results = []
         for workers in (0, 1, 3):
             with monkeypatch.context() as patch:
@@ -116,13 +120,17 @@ class TestWorkerCount:
                 else:
                     pool = _use_pool(patch, workers)
                 try:
-                    results.append([rows.distances(f_anchor, f_tgt) for rows in flat])
+                    results.append([rows.distances(f_anchor, f_tgt)
+                                    for rows in (*flat, tile)])
                 finally:
                     if pool is not None:
                         pool.shutdown()
         for got in results[1:]:
             for a, b in zip(got, results[0]):
                 assert np.array_equal(a, b)
+        global_rows, cells = results[0][2], results[0][3]
+        assert cells.shape == (len(batch), len(f_tgt))
+        assert np.array_equal(cells[flat[2].slots, flat[2].targets], global_rows)
 
     def test_feature_nn_does_not_depend_on_block(self, scene):
         params = DescriptorParams()

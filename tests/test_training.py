@@ -38,6 +38,7 @@ from hireg import training
 from hireg.training import CircleLossResult
 
 from conftest import random_transform
+from test_training_equivalence import _assert_circle_matches, _assert_labels_match
 
 
 def scalar_circle_loss(f_src, f_tgt, batch, mode, params):
@@ -88,6 +89,21 @@ def make_batch(rng, n_anchor=8, n_target=40, n_pos=4, n_local=5, n_global=6):
 def unit_rows(rng, n, dim):
     rows = rng.normal(size=(n, dim))
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def count_distance_passes(monkeypatch, *layouts) -> list[int]:
+    """A one-item counter of the ``distances`` calls of the given layouts."""
+    count = [0]
+
+    def counting(distances):
+        def counted(rows, f_anchor, f_tgt):
+            count[0] += 1
+            return distances(rows, f_anchor, f_tgt)
+        return counted
+
+    for layout in layouts:
+        monkeypatch.setattr(layout, "distances", counting(layout.distances))
+    return count
 
 
 class TestSamplingRadii:
@@ -410,16 +426,8 @@ class TestDistanceMemo:
 
     @pytest.fixture
     def passes(self, monkeypatch):
-        """Counts distance passes, one per flattened sample set."""
-        count = [0]
-        distances = training._FlatSets.distances
-
-        def counted(rows, f_anchor, f_tgt):
-            count[0] += 1
-            return distances(rows, f_anchor, f_tgt)
-
-        monkeypatch.setattr(training._FlatSets, "distances", counted)
-        return count
+        """Counts distance passes, one per sample set, flat rows or a tile."""
+        return count_distance_passes(monkeypatch, training._FlatSets, training._TileSets)
 
     @staticmethod
     def _sets(rng, dim=6):
@@ -477,6 +485,62 @@ class TestDistanceMemo:
         assert passes[0] == 2
         assert len(batch._distances) == 2
         self._assert_same(second, first)
+
+
+class TestGlobalTile:
+    """Global negatives run on a dense (anchor, target) tile. Against the
+    per-anchor reference, losses and label bits keep every bit and gradients
+    agree to 1e-12, whatever the order and multiplicity of the indices."""
+
+    @pytest.fixture
+    def tile_passes(self, monkeypatch):
+        return count_distance_passes(monkeypatch, training._TileSets)
+
+    @staticmethod
+    def _crafted():
+        """Unsorted and repeated global indices, an empty global set, and a
+        zero distance both inside and outside a global set."""
+        rng = np.random.default_rng(5)
+        f_src = unit_rows(rng, 5, 6)
+        f_tgt = unit_rows(rng, 30, 6)
+        f_tgt[[7, 21]] = f_src[3]  # anchor 3 sits on targets 7 and 21
+        ids = lambda *v: np.array(v, dtype=np.intp)  # noqa: E731
+        batch = SampleBatch(
+            anchors=ids(0, 1, 2, 3, 0),
+            positives=(ids(1), ids(2, 4), ids(5), ids(6, 8), ids(9)),
+            local_negatives=(ids(10),) * 5,
+            global_negatives=(ids(29, 3, 17, 0, 11, 12, 13, 2, 25, 26, 14), ids(),
+                              ids(4, 4, 19, 4, 28, 19, 0, 1, 2, 27),
+                              ids(21, 22, 23, 24, 0, 20, 1, 15), ids(3, 3)),
+            requested=5, eligible=5)
+        return f_src, f_tgt, batch
+
+    @pytest.mark.parametrize("weighting", ["constant", "self_paced"])
+    def test_crafted_batch_matches_reference(self, tile_passes, weighting):
+        f_src, f_tgt, batch = self._crafted()
+        result = _assert_circle_matches(f_src, f_tgt, batch, NegativeMode.GLOBAL,
+                                        CircleLossParams(weighting=weighting))
+        assert tile_passes[0] == 1
+        assert result.skipped_anchors == (1,) and result.used_anchors == 4
+        assert np.isfinite(result.grad_source).all() and np.isfinite(result.grad_target).all()
+        for reduction in ("min", "mean"):
+            bits, valid = _assert_labels_match(f_src, f_tgt, batch, NegativeMode.GLOBAL,
+                                               reduction)
+            assert valid.tolist() == [True, False, True, True, True]
+            assert bits[3] == 0  # its closest global negative is at distance 0
+
+    @pytest.mark.parametrize("weighting", ["constant", "self_paced"])
+    def test_random_unsorted_repeated_sets_match_reference(self, rng, weighting):
+        params = CircleLossParams(weighting=weighting)
+        for _ in range(5):
+            batch = make_batch(rng, n_anchor=6)
+            # 20-39 draws with replacement from 40 targets, in drawn order
+            batch = replace(batch, global_negatives=tuple(
+                rng.integers(0, 40, size=rng.integers(20, 40)) for _ in range(6)))
+            f_src, f_tgt = unit_rows(rng, 6, 5), unit_rows(rng, 40, 5)
+            _assert_circle_matches(f_src, f_tgt, batch, NegativeMode.GLOBAL, params)
+            for reduction in ("min", "mean"):
+                _assert_labels_match(f_src, f_tgt, batch, NegativeMode.GLOBAL, reduction)
 
 
 class TestKeypointRankings:
