@@ -208,22 +208,36 @@ class SpatialIndex:
     _self_knn: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _graph(self, centers: np.ndarray, keys: np.ndarray, radius: float) -> NeighborGraph:
-        """Exact closed balls from kd-tree candidate keys ``row * n + point``."""
+        """Exact closed balls from kd-tree candidate keys ``row * n + point``.
+
+        ``keys`` is sorted in place and becomes the graph's indices, so the
+        build holds about three arrays of the candidates' length: the keys,
+        their distances and, only if any candidate lies outside its ball,
+        one copy without those.
+        """
+        n = len(self.cloud)
         keys.sort()
-        rows, cols, dist = np.empty_like(keys), np.empty_like(keys), np.empty(len(keys))
+        offsets = np.searchsorted(keys, np.arange(len(centers) + 1, dtype=np.intp) * n)
+        dist = np.empty(len(keys))
+        outside = np.empty(len(keys), dtype=bool)
 
         def measure(start: int, stop: int) -> None:
-            rows[start:stop], cols[start:stop] = np.divmod(keys[start:stop], len(self.cloud))
-            diff = np.take(self.cloud.points, cols[start:stop], axis=0)
-            diff -= np.take(centers, rows[start:stop], axis=0)
+            rows, cols = np.divmod(keys[start:stop], n)
+            diff = np.take(self.cloud.points, cols, axis=0)
+            diff -= np.take(centers, rows, axis=0)
             # Compare in sqrt space so "distance of the k-th neighbor" computed
             # by callers via np.linalg.norm lands inside its own closed ball.
             dist[start:stop] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            np.greater(dist[start:stop], radius, out=outside[start:stop])
+            keys[start:stop] = cols
 
         map_chunks(measure, len(keys), _CHUNK_KEYS)
-        keep = dist <= radius
-        offsets = np.searchsorted(rows[keep], np.arange(len(centers) + 1))
-        return NeighborGraph(offsets, cols[keep], dist[keep])
+        dropped = np.flatnonzero(outside)
+        if len(dropped):
+            # A row loses the candidates dropped before its start.
+            offsets -= np.searchsorted(dropped, offsets)
+            keys, dist = np.delete(keys, dropped), np.delete(dist, dropped)
+        return NeighborGraph(offsets, keys, dist)
 
     def neighbor_graph(self, radius: float) -> NeighborGraph:
         """Closed-ball neighbourhood of every indexed point, memoised per radius."""
@@ -231,8 +245,16 @@ class SpatialIndex:
         if graph is None:
             n = len(self.cloud)
             pairs = self._tree.query_pairs(radius * _BALL_SLACK, output_type="ndarray")
-            i, j = pairs.astype(np.intp).T  # each unordered pair once, i < j
-            keys = np.concatenate([i * n + j, j * n + i, np.arange(n, dtype=np.intp) * (n + 1)])
+            # Each unordered pair i < j keyed both ways, then every self pair.
+            p = len(pairs)
+            i, j = pairs.T
+            keys = np.empty(2 * p + n, dtype=np.intp)
+            np.multiply(i, n, out=keys[:p])
+            keys[:p] += j
+            np.multiply(j, n, out=keys[p:2 * p])
+            keys[p:2 * p] += i
+            del pairs, i, j
+            np.multiply(np.arange(n, dtype=np.intp), n + 1, out=keys[2 * p:])
             graph = self._graph(self.cloud.points, keys, radius)
             for array in (graph.offsets, graph.indices, graph.distances):
                 array.setflags(write=False)
@@ -246,7 +268,9 @@ class SpatialIndex:
             return []
         found = cKDTree(centers).sparse_distance_matrix(
             self._tree, radius * _BALL_SLACK, output_type="ndarray")
-        keys = found["i"].astype(np.intp) * len(self.cloud) + found["j"]
+        keys = np.multiply(found["i"], len(self.cloud), dtype=np.intp)
+        keys += found["j"]
+        del found
         graph = self._graph(centers, keys, radius)
         return np.split(graph.indices, graph.offsets[1:-1])
 

@@ -32,6 +32,9 @@ _MAX_CENTER_PAIRS = 96
 # still sums its votes in one pass and in order, while the temporaries stay
 # bounded.
 _CHUNK_CENTERS = 256
+# (center, a, b) triples of one low-level chunk: about 120 bytes of
+# temporaries each, whatever the density.
+_CHUNK_TRIPLES = 1 << 16
 # Shared low-level pairs whose angles one chunk computes.
 _CHUNK_PAIRS = 1 << 14
 
@@ -209,12 +212,26 @@ def _strided_pairs(graph: NeighborGraph, start: int, stop: int):
     return center[picked], first + picked
 
 
+def _center_chunks(triples: np.ndarray) -> list[int]:
+    """Bounds of consecutive centre chunks, each of at most ``_CHUNK_CENTERS``
+    centres and ``_CHUNK_TRIPLES`` of their ``triples``, or of one centre
+    that alone holds more."""
+    ends = np.concatenate(([0], np.cumsum(triples)))
+    bounds = [0]
+    while bounds[-1] < len(triples):
+        start = bounds[-1]
+        stop = int(np.searchsorted(ends, ends[start] + _CHUNK_TRIPLES, side="right")) - 1
+        bounds.append(min(max(stop, start + 1), start + _CHUNK_CENTERS, len(triples)))
+    return bounds
+
+
 def _pair_bins(points: np.ndarray, normals: np.ndarray, src: np.ndarray, dst: np.ndarray,
                bins: int) -> tuple[np.ndarray, np.ndarray]:
-    """Soft-bin votes of ordered pairs' (alpha, phi, theta): the (6, pairs)
-    left/right bin columns and masses within one ring's block. A pair that
-    does not vote (coincident, a normal unset, or along the source normal)
-    gets zero masses, which leave every bin sum unchanged."""
+    """Soft-bin votes of ordered pairs' (alpha, phi, theta) within one ring's
+    block of ``3 * bins`` columns: the (6, pairs) left/right bin columns and
+    the (3, pairs) right-hand masses; each left mass is ``1.0 - right``. A
+    pair that does not vote (coincident, a normal unset, or along the source
+    normal) has all six columns at the spare column ``3 * bins``."""
     d_unit = np.take(points, dst, axis=0)
     d_unit -= np.take(points, src, axis=0)
     dist = np.sqrt(np.einsum("ij,ij->i", d_unit, d_unit))
@@ -231,25 +248,24 @@ def _pair_bins(points: np.ndarray, normals: np.ndarray, src: np.ndarray, dst: np
     alpha = np.einsum("ij,ij->i", v, n_m)
     phi = np.einsum("ij,ij->i", n_c, d_unit)
     theta = np.arctan2(np.einsum("ij,ij->i", w, n_m), np.einsum("ij,ij->i", n_c, n_m))
-    cols = np.empty((6, len(src)), dtype=np.intp)
-    weights = np.empty((6, len(src)))
-    for row, (offset, values, lo, hi) in enumerate(
-            ((0, alpha, -1.0, 1.0), (bins, phi, -1.0, 1.0), (2 * bins, theta, -np.pi, np.pi))):
+    spare = 3 * bins
+    cols = np.empty((6, len(src)), dtype=np.min_scalar_type(spare))
+    right = np.empty((3, len(src)))
+    for row, (values, lo, hi) in enumerate(
+            ((alpha, -1.0, 1.0), (phi, -1.0, 1.0), (theta, -np.pi, np.pi))):
         # Linear soft binning: each value splits its unit mass between the
         # two nearest bin centers, so the histogram varies continuously with
         # the input. The angle feature wraps around instead of clamping.
         coord = (np.where(voting, values, 0.0) - lo) / (hi - lo) * bins - 0.5
         left = np.floor(coord).astype(np.intp)
-        weights[2 * row + 1] = coord - left
-        weights[2 * row] = 1.0 - weights[2 * row + 1]
-        right = left + 1
+        right[row] = coord - left
         if values is theta:
-            left, right = left % bins, right % bins
+            left, up = left % bins, (left + 1) % bins
         else:
-            left, right = np.clip(left, 0, bins - 1), np.clip(right, 0, bins - 1)
-        cols[2 * row], cols[2 * row + 1] = offset + left, offset + right
-    weights *= voting
-    return cols, weights
+            left, up = np.clip(left, 0, bins - 1), np.clip(left + 1, 0, bins - 1)
+        cols[2 * row] = np.where(voting, row * bins + left, spare)
+        cols[2 * row + 1] = np.where(voting, row * bins + up, spare)
+    return cols, right
 
 
 def _angular_histograms(points: np.ndarray, normals: np.ndarray, graph: NeighborGraph,
@@ -260,44 +276,76 @@ def _angular_histograms(points: np.ndarray, normals: np.ndarray, graph: Neighbor
     ``full_pairs`` histograms every ordered pair inside the neighborhood
     (denser signal, quadratic cost; used for the small low-level field)
     instead of only center-to-neighbor pairs; a pair shared by several
-    neighborhoods has its angles computed once. With ``rings`` > 1 a pair
-    votes into the radial ring of its member point's distance from the center,
-    so nearby points on weakly structured surfaces get distinct signatures.
-    Both the shared pairs and the centres run in chunks on the worker pool.
+    neighborhoods has its angles computed once and kept in 30 bytes. With
+    ``rings`` > 1 a pair votes into the radial ring of its member point's
+    distance from the center, so nearby points on weakly structured surfaces
+    get distinct signatures. Both the shared pairs and the centres run in
+    chunks on the worker pool; a centre chunk holds at most
+    ``_CHUNK_TRIPLES`` (center, a, b) triples unless one centre has more.
     """
     n, width = points.shape[0], 3 * bins * rings
     if full_pairs:
         # Every (a, b) that shares a neighborhood, as sorted keys a * n + b.
-        adjacency = _adjacency(graph)
-        shared = (adjacency.T @ adjacency).tocsr().sorted_indices()
-        keys = np.repeat(np.arange(n, dtype=np.intp), np.diff(shared.indptr)) * n + shared.indices
-        cols = np.empty((6, len(keys)), dtype=np.intp)
-        weights = np.empty((6, len(keys)))
+        # The product is symmetric, so its columns read as its rows.
+        adjacency = sparse.csr_matrix((np.ones(len(graph.indices), dtype=bool),
+                                       graph.indices, graph.offsets), shape=(n, n))
+        shared = adjacency.T @ adjacency
+        shared.sort_indices()
+        keys = np.repeat(np.arange(n, dtype=np.intp) * n, np.diff(shared.indptr))
+        keys += shared.indices
+        del adjacency, shared
+        cols = np.empty((6, len(keys)), dtype=np.min_scalar_type(3 * bins))
+        right = np.empty((3, len(keys)))
 
         def bin_shared(start: int, stop: int) -> None:
-            cols[:, start:stop], weights[:, start:stop] = _pair_bins(
+            cols[:, start:stop], right[:, start:stop] = _pair_bins(
                 points, normals, *np.divmod(keys[start:stop], n), bins)
 
         map_chunks(bin_shared, len(keys), _CHUNK_PAIRS)
+        m = graph.counts
+        bounds = _center_chunks(m * (m - 1))
+    else:
+        bounds = [*range(0, n, _CHUNK_CENTERS), n]
 
+    # Each (center, ring) block has a spare last column for the votes of
+    # pairs that do not vote; it is dropped below, so every real bin sums the
+    # same masses in the same order.
+    block = 3 * bins + 1
     hist = np.empty((n, width))
 
     def histogram(start: int, stop: int) -> None:
         if full_pairs:
             center, pos_a, pos_b = _full_pairs(graph, start, stop)
             slot = np.searchsorted(keys, graph.indices[pos_a] * n + graph.indices[pos_b])
-            pair_cols, pair_weights = np.take(cols, slot, axis=1), np.take(weights, slot, axis=1)
+            del pos_a
+            pair_cols, pair_right = cols, right
         else:
             center, pos_b = _strided_pairs(graph, start, stop)
-            pair_cols, pair_weights = _pair_bins(points, normals, center,
-                                                 graph.indices[pos_b], bins)
+            pair_cols, pair_right = _pair_bins(points, normals, center,
+                                               graph.indices[pos_b], bins)
+            slot = np.arange(len(center))
         ring = np.minimum((graph.distances[pos_b] / radius * rings).astype(np.intp), rings - 1)
-        row_base = (center - start) * width + ring * (3 * bins)
-        votes = np.bincount((row_base + pair_cols).ravel(), pair_weights.ravel(),
-                            (stop - start) * width)
-        hist[start:stop] = votes.reshape(stop - start, width)
+        row_base = ((center - start) * rings + ring) * block
+        del center, pos_b, ring
+        # Bins and masses of all pairs, left and right of each angle in turn.
+        at = np.empty((6, len(row_base)), dtype=np.intp)
+        masses = np.empty((6, len(row_base)))
+        for row in range(6):
+            np.add(row_base, np.take(pair_cols[row], slot), out=at[row])
+        for row in range(3):
+            # Slots are in range by construction; "clip" lets take write
+            # into the row directly.
+            np.take(pair_right[row], slot, out=masses[2 * row + 1], mode="clip")
+            np.subtract(1.0, masses[2 * row + 1], out=masses[2 * row])
+        votes = np.bincount(at.ravel(), masses.ravel(), (stop - start) * rings * block)
+        hist[start:stop].reshape(stop - start, rings, block - 1)[:] = \
+            votes.reshape(stop - start, rings, block)[:, :, :-1]
 
-    map_chunks(histogram, n, _CHUNK_CENTERS)
+    def run(first: int, last: int) -> None:
+        for k in range(first, last):
+            histogram(bounds[k], bounds[k + 1])
+
+    map_chunks(run, len(bounds) - 1, 1)
     # Relative frequencies per block, so the histogram is invariant to
     # neighborhood size (sampling density varies between cloud pairs).
     blocks = hist.reshape(n, 3 * rings, bins)

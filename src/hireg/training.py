@@ -30,12 +30,13 @@ the calling thread.
 The distance passes run on the shared worker pool (``cloud.map_chunks``):
 flat rows in fixed ranges, each range with its own buffers and the same
 inner chunks, and the tile in fixed ranges of anchor rows, so the distances
-do not depend on the worker count. A batch keeps the positive and negative
-distances of each (source ``DescriptorSet``, target ``DescriptorSet``,
-negative mode) it has seen for its lifetime, so ``circle_loss`` and
-``matchability_labels`` on the same sets share one pass: about 7 MB per
-global-negative tile at 256 anchors on 5k points. Raw arrays are never
-memoised, as a caller may change them in place.
+do not depend on the worker count. A batch keeps the checked positive and
+negative layouts, with their distances, of each (source ``DescriptorSet``,
+target ``DescriptorSet``, negative mode) it has seen for its lifetime, so
+``circle_loss`` and ``matchability_labels`` on the same sets share one
+layout check and one pass: about 7 MB per global-negative tile at 256
+anchors on 5k points. Raw arrays are never memoised, as a caller may change
+them in place.
 """
 
 from __future__ import annotations
@@ -142,8 +143,9 @@ class SampleBatch:
     global_negatives: tuple[np.ndarray, ...]
     requested: int
     eligible: int
-    # (id(source), id(target), mode) -> (source, target, distances) for
-    # DescriptorSet inputs; the sets are kept to check identity with ``is``.
+    # (id(source), id(target), mode) -> (source, target, [(layout, distances)]
+    # of positives and negatives) for DescriptorSet inputs; the sets are kept
+    # to check identity with ``is``.
     _distances: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
@@ -377,27 +379,26 @@ def _samples(features: tuple, f_src: np.ndarray, f_tgt: np.ndarray,
 
     ``features`` is the (source, target) pair the caller was given and
     ``f_src``, ``f_tgt`` its matrices; ``slots`` are the usable slots of
-    (batch, mode). When both are ``DescriptorSet``s, the distances come from
-    the batch's memo if it holds these very sets for ``mode``, and are stored
-    there otherwise.
+    (batch, mode). When both are ``DescriptorSet``s, the checked layouts and
+    their distances come from the batch's memo if it holds these very sets
+    for ``mode``, and are stored there otherwise.
     """
     source, target = features
     f_anchor = f_src[batch.anchors[slots]]
-    negatives = _TileSets if NegativeMode(mode) == NegativeMode.GLOBAL else _FlatSets
-    rows = [layout.of([sets[s] for s in slots], len(f_tgt))
-            for layout, sets in ((_FlatSets, batch.positives),
-                                 (negatives, batch.negatives(mode)))]
     key = (id(source), id(target), NegativeMode(mode))
     entry = batch._distances.get(key)
     if entry is not None and entry[0] is source and entry[1] is target:
-        dists = entry[2]
-    else:
-        dists = tuple(r.distances(f_anchor, f_tgt) for r in rows)
-        if isinstance(source, DescriptorSet) and isinstance(target, DescriptorSet):
-            for d in dists:
-                d.setflags(write=False)
-            batch._distances[key] = (source, target, dists)
-    return f_anchor, list(zip(rows, dists))
+        return f_anchor, entry[2]
+    negatives = _TileSets if NegativeMode(mode) == NegativeMode.GLOBAL else _FlatSets
+    samples = []
+    for layout, sets in ((_FlatSets, batch.positives), (negatives, batch.negatives(mode))):
+        rows = layout.of([sets[s] for s in slots], len(f_tgt))
+        samples.append((rows, rows.distances(f_anchor, f_tgt)))
+    if isinstance(source, DescriptorSet) and isinstance(target, DescriptorSet):
+        for _, dists in samples:
+            dists.setflags(write=False)
+        batch._distances[key] = (source, target, samples)
+    return f_anchor, samples
 
 
 def _sample_features(source_features, target_features) -> tuple[np.ndarray, np.ndarray]:

@@ -340,3 +340,63 @@ class TestNeighborGraph:
     def test_radius_batch_without_centers(self, rng):
         index = build_index(PointCloud(rng.normal(size=(5, 3))))
         assert index.radius_batch(np.empty((0, 3)), 0.5) == []
+
+
+class TestDroppedCandidates:
+    """The kd-tree is asked for a slightly inflated radius, so a point just
+    outside the closed ball can come back as a candidate and must be dropped.
+    Each centre here has members at exactly ``r`` and a point at
+    ``r * (1 + 1e-13)``, inside that slack but outside the ball; every offset
+    is axis-aligned, so each distance is exact."""
+
+    RADIUS = 0.5
+
+    @classmethod
+    def _points(cls) -> np.ndarray:
+        r, beyond = cls.RADIUS, cls.RADIUS * (1 + 1e-13)
+        steps = np.array([[r, 0, 0], [0, 0, -r], [0, beyond, 0], [0, 0, beyond]])
+        centers = np.column_stack([np.arange(4) * 10.0, np.zeros(4), np.zeros(4)])
+        return np.vstack([centers] + [c + steps for c in centers])
+
+    @staticmethod
+    def _brute(points, centers, radius):
+        """Offsets, indices and distances of closed balls, one scan per centre."""
+        rows = [np.flatnonzero(np.linalg.norm(points - c, axis=1) <= radius) for c in centers]
+        offsets = np.concatenate(([0], np.cumsum([len(row) for row in rows])))
+        indices = np.concatenate(rows)
+        centre_of = np.repeat(np.arange(len(centers)), np.diff(offsets))
+        return offsets, indices, np.linalg.norm(points[indices] - centers[centre_of], axis=1)
+
+    def test_candidates_outside_the_ball_are_dropped(self):
+        points = self._points()
+        index = build_index(PointCloud(points))
+        pairs = index._tree.query_pairs(self.RADIUS * (1 + 1e-12))
+        assert (0, 6) in pairs and np.linalg.norm(points[6] - points[0]) > self.RADIUS
+        graph = index.neighbor_graph(self.RADIUS)
+        offsets, indices, distances = self._brute(points, points, self.RADIUS)
+        assert np.array_equal(graph.offsets, offsets)
+        assert np.array_equal(graph.indices, indices)
+        assert np.array_equal(graph.distances, distances)
+        assert graph.row(0).tolist() == [0, 4, 5]
+
+    def test_radius_batch_drops_them_too(self):
+        points = self._points()
+        index = build_index(PointCloud(points))
+        centers = points[:4]
+        offsets, indices, _ = self._brute(points, centers, self.RADIUS)
+        balls = index.radius_batch(centers, self.RADIUS)
+        assert [ball.tolist() for ball in balls] == \
+            [indices[lo:hi].tolist() for lo, hi in zip(offsets[:-1], offsets[1:])]
+
+    def test_radius_batch_with_no_candidates(self, rng):
+        index = build_index(PointCloud(rng.uniform(0, 1, size=(20, 3))))
+        balls = index.radius_batch(np.full((3, 3), 50.0), 0.5)
+        assert len(balls) == 3 and all(ball.size == 0 for ball in balls)
+
+    def test_one_point_cloud(self):
+        index = build_index(PointCloud(np.array([[1.0, 2.0, 3.0]])))
+        graph = index.neighbor_graph(0.5)
+        assert graph.offsets.tolist() == [0, 1] and graph.indices.tolist() == [0]
+        assert graph.distances.tolist() == [0.0]
+        balls = index.radius_batch(np.array([[1.0, 2.0, 3.0], [9.0, 9.0, 9.0]]), 0.5)
+        assert [ball.tolist() for ball in balls] == [[0], []]

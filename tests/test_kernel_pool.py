@@ -22,6 +22,7 @@ import pytest
 from hireg import (
     DescriptorParams,
     Level,
+    PointCloud,
     RunConfig,
     SamplingRadii,
     SceneSpec,
@@ -32,7 +33,7 @@ from hireg import (
     generate_scene,
     register,
 )
-from hireg import cloud
+from hireg import cloud, descriptors
 from hireg.detectors import pairwise_feature_nn, score_overlap_heuristic, score_saliency
 from hireg.training import _RANGE_ROWS, _TILE_SLOTS, _FlatSets, _TileSets
 
@@ -131,6 +132,24 @@ class TestWorkerCount:
         global_rows, cells = results[0][2], results[0][3]
         assert cells.shape == (len(batch), len(f_tgt))
         assert np.array_equal(cells[flat[2].slots, flat[2].targets], global_rows)
+
+    def test_low_does_not_depend_on_triple_budget(self, monkeypatch):
+        """The dense cluster of the descriptor equivalence tests, whose
+        centres hold far more (center, a, b) triples than a small budget."""
+        rng = np.random.default_rng(5)
+        pc = PointCloud(np.vstack([rng.uniform(-0.08, 0.08, size=(300, 3)),
+                                   rng.uniform(-1.0, 1.0, size=(200, 3))]))
+        params = DescriptorParams(low_radius=0.05, high_radius=0.3, normal_radius=0.08)
+        expected = compute_descriptors(pc, Level.LOW, params).vectors
+        m = build_index(pc).neighbor_graph(params.low_radius).counts
+        assert (m * (m - 1)).max() > 7
+        for budget in (1, 7, descriptors._CHUNK_TRIPLES):
+            monkeypatch.setattr(descriptors, "_CHUNK_TRIPLES", budget)
+            bounds = descriptors._center_chunks(m * (m - 1))
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                assert hi - lo == 1 or (m[lo:hi] * (m[lo:hi] - 1)).sum() <= budget
+            got = compute_descriptors(pc, Level.LOW, params).vectors
+            assert np.array_equal(got, expected), budget
 
     def test_feature_nn_does_not_depend_on_block(self, scene):
         params = DescriptorParams()
@@ -254,12 +273,27 @@ class TestConcurrentCallers:
 
 
 class TestMemoryBound:
-    """Peaks traced on a 5k room cloud with its neighbour graphs built
-    beforehand. Before chunking they were 172 MB (HIGH descriptors) and
-    185 MB (LOW saliency, one (N, k, D) difference tensor)."""
+    """Peaks traced on a 5k room cloud. Before chunking they were 172 MB
+    (HIGH descriptors) and 185 MB (LOW saliency, one (N, k, D) difference
+    tensor); before the in-place graph build and the 30-byte shared-pair
+    table, the r = 0.4 graph build peaked at 3.6 times its graph and inline
+    LOW descriptors at 41 MB."""
 
-    def test_kernel_peaks_scale_with_workers(self):
-        pc = generate_scene(SceneSpec(shape="room", n_points=5000, seed=1000)).source
+    @pytest.fixture(scope="class")
+    def room(self):
+        return generate_scene(SceneSpec(shape="room", n_points=5000, seed=1000)).source
+
+    @staticmethod
+    def _peak(kernel) -> int:
+        tracemalloc.start()
+        try:
+            kernel()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_kernel_peaks_scale_with_workers(self, room):
+        pc = room
         params = DescriptorParams()
         index = build_index(pc)
         index.neighbor_graph(params.low_radius)
@@ -271,10 +305,21 @@ class TestMemoryBound:
                 ("high descriptors",
                  lambda: compute_descriptors(pc, Level.HIGH, params, normals, index)),
                 ("low saliency", lambda: score_saliency(pc, low, index, 24))):
-            tracemalloc.start()
-            try:
-                kernel()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak = self._peak(kernel)
             assert peak < bound, f"{name}: peak {peak / _MIB:.1f} MiB >= {bound / _MIB:.0f} MiB"
+
+    def test_graph_build_and_low_peaks_inline(self, room, monkeypatch):
+        """Inline, so no peak holds another worker's chunk: the r = 0.4 graph
+        build within twice the graph it returns, and LOW descriptors, with
+        their graph built beforehand, within 24 MiB."""
+        monkeypatch.setattr(cloud, "worker_count", lambda: 1)
+        params = DescriptorParams()
+        index = build_index(room)
+        graphs = []
+        peak = self._peak(lambda: graphs.append(index.neighbor_graph(params.high_radius)))
+        size = sum(a.nbytes for a in (graphs[0].offsets, graphs[0].indices,
+                                      graphs[0].distances))
+        assert peak <= 2 * size, f"graph: peak {peak / _MIB:.1f} MiB, graph {size / _MIB:.1f} MiB"
+        normals = estimate_normals(room, params.normal_radius, index=index)
+        peak = self._peak(lambda: compute_descriptors(room, Level.LOW, params, normals, index))
+        assert peak <= 24 * _MIB, f"low descriptors: peak {peak / _MIB:.1f} MiB"

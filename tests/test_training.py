@@ -421,8 +421,9 @@ class TestMatchability:
 
 
 class TestDistanceMemo:
-    """A batch keeps the row distances of each (source DescriptorSet, target
-    DescriptorSet, mode); outputs never differ from a batch without them."""
+    """A batch keeps the checked layouts and row distances of each (source
+    DescriptorSet, target DescriptorSet, mode); outputs never differ from a
+    batch without them."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
@@ -462,6 +463,20 @@ class TestDistanceMemo:
         assert list(batch._distances) == [(id(src), id(tgt), mode)]
         for got, expected in zip(memoised, fresh):
             self._assert_same(got, expected)
+
+    @pytest.mark.parametrize("mode", [NegativeMode.GLOBAL, NegativeMode.LOCAL])
+    def test_hit_skips_the_layout_check(self, rng, monkeypatch, mode):
+        src, tgt = self._sets(rng)
+        batch = make_batch(rng)
+        first = circle_loss(src, tgt, batch, mode, CircleLossParams())
+
+        def unexpected(cls, sets, n_targets):
+            raise AssertionError(f"{cls.__name__}.of called on a memo hit")
+
+        for layout in (training._FlatSets, training._TileSets):
+            monkeypatch.setattr(layout, "of", classmethod(unexpected))
+        self._assert_same(circle_loss(src, tgt, batch, mode, CircleLossParams()), first)
+        matchability_labels(src, tgt, batch, mode)
 
     def test_raw_arrays_are_not_memoised(self, rng):
         f_src, f_tgt = (s.vectors.copy() for s in self._sets(rng))
