@@ -4,7 +4,11 @@ worker pool the kernels share.
 Everything here is immutable after construction and safe to share across
 threads. The spatial index memoises one read-only neighbour graph per radius
 and one self k-NN per k, pure functions of (cloud, radius) and (cloud, k):
-threads racing on a key build equal results, and either may be kept.
+threads racing on a key build equal results, and either may be kept. An
+entry lives as long as its index unless ``keep_graphs`` releases it; a
+released graph stays valid for whoever holds it, and a later query at its
+radius builds it again. ``describe_cloud`` keeps only the low-radius graph
+once the high-level descriptors are done, since matching reads no other.
 Distances are Euclidean, radii are meters, radius queries use closed balls
 (boundary points included).
 
@@ -260,6 +264,12 @@ class SpatialIndex:
                 array.setflags(write=False)
             self._graphs[radius] = graph
         return graph
+
+    def keep_graphs(self, *radii: float) -> None:
+        """Release every memoised neighbour graph whose radius is not in ``radii``."""
+        for radius in list(self._graphs):
+            if radius not in radii:
+                self._graphs.pop(radius, None)
 
     def radius_batch(self, centers: np.ndarray, radius: float) -> list[np.ndarray]:
         """Closed-ball radius query for many centers at once (exact)."""

@@ -82,21 +82,28 @@ class KeypointSet:
 
 
 def pairwise_feature_nn(queries: np.ndarray, references: np.ndarray,
-                        block: int = 256) -> tuple[np.ndarray, np.ndarray]:
+                        block: int = 128) -> tuple[np.ndarray, np.ndarray]:
     """Exact nearest neighbor in feature space, in query blocks that bound
     memory and run on the worker pool.
 
     Returns (distances, indices); ties resolve to the lowest reference index.
     The expanded-form distance matrix carries ~1e-16 cancellation noise, so
     near-tied winners are re-decided from exact distances, and the result
-    does not depend on ``block``.
+    does not depend on ``block``. A block holds two (block, references)
+    float arrays at a time: the squared distances and the cross term.
     """
     q2 = np.einsum("ij,ij->i", queries, queries)
     r2 = np.einsum("ij,ij->i", references, references)
     best_idx = np.empty(queries.shape[0], dtype=np.intp)
 
     def nearest(start: int, stop: int) -> None:
-        d2 = q2[start:stop, None] + r2[None, :] - 2.0 * queries[start:stop] @ references.T
+        # q2 + r2 - (2 q) @ r.T, in that order, with the cross term's buffer
+        # freed before the tie mask is built.
+        d2 = np.add(q2[start:stop, None], r2[None, :])
+        cross = np.empty_like(d2)
+        np.matmul(2.0 * queries[start:stop], references.T, out=cross)
+        d2 -= cross
+        del cross
         winners = d2.argmin(axis=1)
         floor = d2[np.arange(stop - start), winners]
         tied_rows = np.flatnonzero((d2 <= floor[:, None] + 1e-10).sum(axis=1) > 1)

@@ -119,12 +119,17 @@ def describe_cloud(cloud: PointCloud, params: DescriptorParams
                    ) -> tuple[SpatialIndex, DescriptorSet, DescriptorSet]:
     """The index and the (low, high) descriptors of one cloud.
 
-    The normals are estimated once and shared by both levels.
+    The normals are estimated once and shared by both levels. The returned
+    index memoises only the low-radius graph, whose rows are the cells of
+    ``local_cell_match``; the wide-field and normal graphs are released once
+    the descriptors no longer need them.
     """
     index = build_index(cloud)
     normals = estimate_normals(cloud, params.normal_radius, index=index)
-    return (index, compute_descriptors(cloud, Level.LOW, params, normals, index),
-            compute_descriptors(cloud, Level.HIGH, params, normals, index))
+    low = compute_descriptors(cloud, Level.LOW, params, normals, index)
+    high = compute_descriptors(cloud, Level.HIGH, params, normals, index)
+    index.keep_graphs(params.low_radius)
+    return index, low, high
 
 
 def match_features(source_descriptors: DescriptorSet | np.ndarray,

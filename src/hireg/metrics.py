@@ -181,7 +181,13 @@ class BenchmarkReport:
         }
 
     def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+        """Strict JSON: an undefined aggregate (NaN RRE/RTE statistics of a
+        block where nothing registered) is written as ``null``."""
+        doc = self.to_dict()
+        for block in doc["blocks"].values():
+            block["aggregate"] = {key: None if np.isnan(value) else value
+                                  for key, value in block["aggregate"].items()}
+        return json.dumps(doc, indent=indent, allow_nan=False)
 
     def to_text(self) -> str:
         counts = sorted(self.blocks)

@@ -30,6 +30,39 @@ def random_transform(rng: np.random.Generator,
                           rng.uniform(-translation_scale, translation_scale, size=3))
 
 
+class CountingTree:
+    """Stands in for a ``SpatialIndex``'s kd-tree and counts the attribute
+    reads, one per query method called on it."""
+
+    def __init__(self, tree):
+        self.tree, self.queries = tree, 0
+
+    def __getattr__(self, name):
+        self.queries += 1
+        return getattr(self.tree, name)
+
+
+def count_tree_queries(index) -> CountingTree:
+    """Swap ``index``'s kd-tree for a ``CountingTree`` and return it."""
+    tree = CountingTree(index._tree)
+    object.__setattr__(index, "_tree", tree)
+    return tree
+
+
+def register_arrays(result) -> dict:
+    """The arrays of a ``RegistrationResult``, to compare bit for bit."""
+    return {
+        "rotation": result.transform.rotation, "translation": result.transform.translation,
+        "coarse_rotation": result.coarse_transform.rotation,
+        "coarse_translation": result.coarse_transform.translation,
+        "coarse_pairs": result.coarse.pairs, "fine_pairs": result.fine.pairs,
+        "fine_weights": result.fine.weights,
+        "src_keypoints": result.source_keypoints.indices,
+        "tgt_keypoints": result.target_keypoints.indices,
+        "counts": np.array([result.inlier_count, result.iterations_used]),
+    }
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -377,6 +377,23 @@ class TestBenchCommand:
         header = capsys.readouterr().out.splitlines()[0]
         assert "80" in header and "160" in header
 
+    def test_report_is_strict_json_when_nothing_registers(self, tmp_path, capsys):
+        spec = self._spec_file(tmp_path, n_pairs=1)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"metrics": {"rre_max_deg": 1e-12, "rte_max_m": 1e-12}}))
+        out = tmp_path / "report.json"
+        assert main(["bench", "--spec", str(spec), "--config", str(config),
+                     "--samples", "120", "--seed", "0", "--out", str(out)]) == 0
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        aggregate = json.loads(out.read_text(), parse_constant=reject)["blocks"]["120"]["aggregate"]
+        assert aggregate["RR"] == 0.0
+        for key in ("mean RRE (deg)", "median RRE (deg)", "mean RTE (m)", "median RTE (m)"):
+            assert aggregate[key] is None, key
+        assert "nan" in capsys.readouterr().out
+
     def test_empty_spec_exits_one(self, tmp_path):
         spec = tmp_path / "empty.json"
         spec.write_text(json.dumps({"pairs": []}))

@@ -25,7 +25,7 @@ from hireg import (
     radius_query,
 )
 
-from conftest import axis_angle_rotation, random_transform
+from conftest import axis_angle_rotation, count_tree_queries, random_transform
 
 
 def brute_radius(points, center, radius):
@@ -275,25 +275,30 @@ class TestNeighborGraph:
             assert np.array_equal(graph.indices, fresh.neighbor_graph(radius).indices)
 
     def test_shared_normal_and_low_radius_query_once(self, rng):
-        class CountingTree:
-            def __init__(self, tree):
-                self.tree, self.queries = tree, 0
-
-            def __getattr__(self, name):
-                self.queries += 1
-                return getattr(self.tree, name)
-
         cloud = PointCloud(rng.uniform(0, 0.5, size=(300, 3)))
         params = DescriptorParams()
         assert params.normal_radius == params.low_radius
         index = build_index(cloud)
-        tree = CountingTree(index._tree)
-        object.__setattr__(index, "_tree", tree)
+        tree = count_tree_queries(index)
         normals = estimate_normals(cloud, params.normal_radius, index=index)
         for level in (Level.LOW, Level.HIGH):
             compute_descriptors(cloud, level, params, normals, index)
         # One query per distinct radius: normal == low, then high.
         assert tree.queries == 2
+
+    def test_keep_graphs_releases_the_other_radii(self, rng):
+        index = build_index(PointCloud(rng.uniform(-1, 1, size=(200, 3))))
+        small, large = index.neighbor_graph(0.2), index.neighbor_graph(0.4)
+        index.keep_graphs(0.2)
+        assert set(index._graphs) == {0.2}
+        assert index.neighbor_graph(0.2) is small
+        # A released graph stays valid, and asking again rebuilds the same one.
+        again = index.neighbor_graph(0.4)
+        assert again is not large
+        for name in ("offsets", "indices", "distances"):
+            assert np.array_equal(getattr(again, name), getattr(large, name))
+        index.keep_graphs()
+        assert index._graphs == {}
 
     def test_threads_racing_on_the_memo_get_equal_graphs(self, rng):
         points = rng.uniform(-1, 1, size=(400, 3))

@@ -29,6 +29,7 @@ from hireg import (
     build_index,
     build_sample_batch,
     compute_descriptors,
+    describe_cloud,
     estimate_normals,
     generate_scene,
     register,
@@ -36,6 +37,8 @@ from hireg import (
 from hireg import cloud, descriptors
 from hireg.detectors import pairwise_feature_nn, score_overlap_heuristic, score_saliency
 from hireg.training import _RANGE_ROWS, _TILE_SLOTS, _FlatSets, _TileSets
+
+from conftest import register_arrays
 
 _TIMEOUT_S = 300
 _MIB = 2 ** 20
@@ -231,31 +234,19 @@ class TestMapChunks:
         cloud._pool.shutdown()
 
 
-def _summary(result) -> dict:
-    return {
-        "rotation": result.transform.rotation, "translation": result.transform.translation,
-        "coarse_rotation": result.coarse_transform.rotation,
-        "coarse_pairs": result.coarse.pairs, "fine_pairs": result.fine.pairs,
-        "fine_weights": result.fine.weights,
-        "src_keypoints": result.source_keypoints.indices,
-        "tgt_keypoints": result.target_keypoints.indices,
-        "counts": np.array([result.inlier_count, result.iterations_used]),
-    }
-
-
 class TestConcurrentCallers:
     @pytest.mark.parametrize("workers", [None, 1], ids=["cpu-pool", "one-worker"])
     def test_two_registers_at_once_match_serial(self, monkeypatch, workers):
         scenes = [generate_scene(SceneSpec(shape="room", n_points=1500, overlap=0.7, seed=s))
                   for s in (3, 4)]
         config = RunConfig(seed=2)
-        serial = [_summary(register(s.source, s.target, config)) for s in scenes]
+        serial = [register_arrays(register(s.source, s.target, config)) for s in scenes]
         pool = _use_pool(monkeypatch, workers) if workers else None
         start = threading.Barrier(2)
 
         def call(s):
             start.wait(_TIMEOUT_S)
-            return _summary(register(s.source, s.target, config))
+            return register_arrays(register(s.source, s.target, config))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # interleave the callers' Python code finely
@@ -273,15 +264,22 @@ class TestConcurrentCallers:
 
 
 class TestMemoryBound:
-    """Peaks traced on a 5k room cloud. Before chunking they were 172 MB
+    """Peaks traced on a 5k room pair. Before chunking they were 172 MB
     (HIGH descriptors) and 185 MB (LOW saliency, one (N, k, D) difference
     tensor); before the in-place graph build and the 30-byte shared-pair
     table, the r = 0.4 graph build peaked at 3.6 times its graph and inline
-    LOW descriptors at 41 MB."""
+    LOW descriptors at 41 MB. While 256-row feature-NN blocks held two
+    buffers each and ``register`` kept both clouds' r = 0.4 graphs, one
+    overlap direction peaked at 13.8 MiB per worker and ``register`` at
+    61.8 MiB on one worker, 81.5 MiB on two."""
 
     @pytest.fixture(scope="class")
-    def room(self):
-        return generate_scene(SceneSpec(shape="room", n_points=5000, seed=1000)).source
+    def scene(self):
+        return generate_scene(SceneSpec(shape="room", n_points=5000, seed=1000))
+
+    @pytest.fixture(scope="class")
+    def room(self, scene):
+        return scene.source
 
     @staticmethod
     def _peak(kernel) -> int:
@@ -323,3 +321,17 @@ class TestMemoryBound:
         normals = estimate_normals(room, params.normal_radius, index=index)
         peak = self._peak(lambda: compute_descriptors(room, Level.LOW, params, normals, index))
         assert peak <= 24 * _MIB, f"low descriptors: peak {peak / _MIB:.1f} MiB"
+
+    def test_feature_nn_holds_two_buffers_per_worker(self, scene):
+        """A 128-row block holds its squared distances and its cross term."""
+        params = DescriptorParams()
+        src, tgt = (describe_cloud(pc, params)[2].vectors for pc in (scene.source, scene.target))
+        peak = self._peak(lambda: pairwise_feature_nn(src, tgt))
+        bound = cloud.worker_count() * 2 * 128 * len(tgt) * 8 + _MIB
+        assert peak <= bound, f"peak {peak / _MIB:.1f} MiB > {bound / _MIB:.1f} MiB"
+
+    def test_register_peak_scales_with_workers(self, scene):
+        """Only the low-radius graph outlives a cloud's descriptors."""
+        bound = (24 + 8 * cloud.worker_count()) * _MIB
+        peak = self._peak(lambda: register(scene.source, scene.target))
+        assert peak < bound, f"peak {peak / _MIB:.1f} MiB >= {bound / _MIB:.0f} MiB"

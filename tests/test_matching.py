@@ -12,6 +12,7 @@ import pytest
 from hireg import (
     CorrespondenceSet,
     DegenerateGeometryError,
+    DescriptorParams,
     DescriptorSet,
     Level,
     NoConsensusError,
@@ -19,8 +20,13 @@ from hireg import (
     RansacParams,
     RigidTransform,
     RunConfig,
+    SpatialIndex,
     ValidationError,
     apply_transform,
+    build_index,
+    compute_descriptors,
+    describe_cloud,
+    estimate_normals,
     local_cell_match,
     match_features,
     ransac_transform,
@@ -35,7 +41,7 @@ from hireg.detectors import ScoreSet, pairwise_feature_nn
 from hireg.matching import Stage
 from hireg.synth import SceneSpec, generate_scene
 
-from conftest import random_transform
+from conftest import count_tree_queries, random_transform, register_arrays
 
 
 def quaternion_fit(src, tgt, weights):
@@ -359,6 +365,59 @@ class TestSelectFineSubset:
         fine = CorrespondenceSet(np.array([[0, 0]]), np.ones(1), Stage.FINE)
         with pytest.raises(ValidationError):
             select_fine_subset(fine, self._scores([1.0]), 0.0)
+
+
+_DESCRIBE_PARAMS = {
+    "default": DescriptorParams(),
+    "distinct-normal-radius": DescriptorParams(normal_radius=0.15),
+    "normal-radius-is-high": DescriptorParams(normal_radius=0.4),
+}
+
+
+class TestDescribeCloud:
+    """``describe_cloud`` returns an index holding only the low-radius graph,
+    whose rows are the cells fine matching reads."""
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        return generate_scene(SceneSpec(shape="room", n_points=1500, overlap=0.8,
+                                        noise_sigma=0.003, seed=11))
+
+    @pytest.mark.parametrize("name", list(_DESCRIBE_PARAMS))
+    def test_index_keeps_only_the_low_radius_graph(self, scene, name):
+        params = _DESCRIBE_PARAMS[name]
+        cloud = scene.source
+        index, low, high = describe_cloud(cloud, params)
+        assert set(index._graphs) == {params.low_radius}
+
+        # The same descriptors as from an index that keeps every graph.
+        fresh = build_index(cloud)
+        normals = estimate_normals(cloud, params.normal_radius, index=fresh)
+        for level, got in ((Level.LOW, low), (Level.HIGH, high)):
+            expected = compute_descriptors(cloud, level, params, normals, fresh)
+            assert np.array_equal(got.vectors, expected.vectors), level
+        assert set(fresh._graphs) == {params.low_radius, params.normal_radius,
+                                      params.high_radius}
+
+        # Fine cells are rows of the kept graph: no new kd-tree query.
+        tree = count_tree_queries(index)
+        for anchor in (0, 700, len(cloud) - 1):
+            local_cell_match(cloud, cloud, (anchor, anchor), low, low, params.low_radius,
+                             source_index=index, target_index=index)
+        assert tree.queries == 0
+
+    @pytest.mark.parametrize("name", list(_DESCRIBE_PARAMS))
+    def test_register_matches_an_index_that_keeps_every_graph(self, scene, name,
+                                                              monkeypatch):
+        params = _DESCRIBE_PARAMS[name]
+        config = RunConfig(seed=11, descriptor=params)
+        released = register_arrays(register(scene.source, scene.target, config))
+        monkeypatch.setattr(SpatialIndex, "keep_graphs", lambda self, *radii: None)
+        index, _, _ = describe_cloud(scene.source, params)
+        assert params.high_radius in index._graphs
+        kept = register_arrays(register(scene.source, scene.target, config))
+        for key, expected in kept.items():
+            assert np.array_equal(released[key], expected), key
 
 
 class TestRegister:
