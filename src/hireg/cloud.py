@@ -271,18 +271,24 @@ class SpatialIndex:
             if radius not in radii:
                 self._graphs.pop(radius, None)
 
-    def radius_batch(self, centers: np.ndarray, radius: float) -> list[np.ndarray]:
-        """Closed-ball radius query for many centers at once (exact)."""
+    def radius_graph(self, centers: np.ndarray, radius: float) -> NeighborGraph:
+        """Closed-ball neighbourhoods of arbitrary centres (exact), one row
+        per centre; not memoised."""
         centers = np.asarray(centers, dtype=np.float64)
         if len(centers) == 0:
-            return []
+            return NeighborGraph(np.zeros(1, dtype=np.intp), np.empty(0, dtype=np.intp),
+                                 np.empty(0))
         found = cKDTree(centers).sparse_distance_matrix(
             self._tree, radius * _BALL_SLACK, output_type="ndarray")
         keys = np.multiply(found["i"], len(self.cloud), dtype=np.intp)
         keys += found["j"]
         del found
-        graph = self._graph(centers, keys, radius)
-        return np.split(graph.indices, graph.offsets[1:-1])
+        return self._graph(centers, keys, radius)
+
+    def radius_batch(self, centers: np.ndarray, radius: float) -> list[np.ndarray]:
+        """``radius_graph`` split into one index array per centre."""
+        graph = self.radius_graph(centers, radius)
+        return np.split(graph.indices, graph.offsets[1:-1]) if len(graph.offsets) > 1 else []
 
     def knn_batch(self, centers: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Raw kd-tree k-NN for many centers; no tie-break guarantee."""

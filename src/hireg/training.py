@@ -14,29 +14,35 @@ Positives and local negatives are flattened, the CSR idea of
 index. Global negatives, every target outside the anchor's ball, fill nearly
 all of the (usable anchors x target points) cells, so they are held as one
 dense tile of those cells, and a slot's set is the cells of its tile row at
-its target indices. Feature distances are taken per row or cell as
+its target indices. A flat row's feature distance is
 ``sqrt(add.reduce(diff * diff, axis=1))`` over contiguous blocks of
-difference rows, which is what ``np.linalg.norm(axis=1)`` computes, so each
-distance is the one a per-anchor loop would get. Per-anchor totals are a
-pairwise ``.sum()`` over each slot's rows, or over its gathered tile cells,
-in set order, as the per-anchor ``e.sum()`` was: ``np.add.reduceat`` and
-``np.bincount`` add a segment sequentially, which rounds differently and
+difference rows, which is what ``np.linalg.norm(axis=1)`` computes; the tile
+adds the same squares column by column, in the order of that pairwise sum,
+so each distance is the one a per-anchor loop would get. Per-anchor totals
+are a pairwise ``.sum()`` over each slot's rows, or over its gathered tile
+cells, in set order, as the per-anchor ``e.sum()`` was: ``np.add.reduceat``
+and ``np.bincount`` add a segment sequentially, which rounds differently and
 changes the last bits of per-anchor loss terms. Gradients come from one
 weight matrix per sample kind, with rows for anchors and columns for target
 points: sparse for flat rows, and for the tile a dense matrix that counts a
-repeated cell once per occurrence and whose two products are BLAS GEMMs on
-the calling thread.
+repeated cell once per occurrence.
 
-The distance passes run on the shared worker pool (``cloud.map_chunks``):
-flat rows in fixed ranges, each range with its own buffers and the same
-inner chunks, and the tile in fixed ranges of anchor rows, so the distances
-do not depend on the worker count. A batch keeps the checked positive and
-negative layouts, with their distances, of each (source ``DescriptorSet``,
-target ``DescriptorSet``, negative mode) it has seen for its lifetime, so
-``circle_loss`` and ``matchability_labels`` on the same sets share one
-layout check and one pass: about 7 MB per global-negative tile at 256
-anchors on 5k points. Raw arrays are never memoised, as a caller may change
-them in place.
+The passes run on the shared worker pool (``cloud.map_chunks``) in fixed
+pieces, so no result depends on the worker count: flat distances in fixed
+ranges of rows, each range with its own buffers and the same inner chunks,
+and the global-negative tile in blocks of ``_TILE_SLOTS`` anchor rows. One
+block pass checks the block's sets and fills its tile rows. The loss's block
+pass takes the exponentials, each slot's sum and the block's rows of the
+weight tile, which need no other slot's sums. What mixes anchors stays
+whole on the calling thread: the anchor-order loss total, the weight tile's
+column sums and its two BLAS products. So do the labels' per-slot minima,
+whose gathers hold the interpreter lock and ran slower on the pool. A batch
+keeps the layouts, with their distances, of each (source
+``DescriptorSet``, target ``DescriptorSet``, negative mode) it has seen for
+its lifetime, so ``circle_loss`` and ``matchability_labels`` on the same
+sets share one pass: about 7 MB per global-negative tile at 256 anchors on
+5k points. Raw arrays are never memoised, as a caller may change them in
+place.
 """
 
 from __future__ import annotations
@@ -174,8 +180,8 @@ def build_sample_batch(source: PointCloud, target: PointCloud, gt: RigidTransfor
 
     # Eligibility needs only the positive ball; negatives are classified for
     # the sampled anchors alone.
-    pos_balls = index.radius_batch(aligned, radii.positive)
-    eligible = np.flatnonzero([ball.size > 0 for ball in pos_balls])
+    positive = index.radius_graph(aligned, radii.positive)
+    eligible = np.flatnonzero(positive.counts)
     if eligible.size == 0:
         raise NoCorrespondenceError(
             "no source point has a target point within the positive radius"
@@ -189,9 +195,8 @@ def build_sample_batch(source: PointCloud, target: PointCloud, gt: RigidTransfor
 
     # One radius query for all anchors, classified on its flattened rows.
     anchor_points = aligned[anchors]
-    balls = index.radius_batch(anchor_points, radii.global_negative)
-    counts = np.array([ball.size for ball in balls], dtype=np.intp)
-    inside = np.concatenate(balls)
+    balls = index.radius_graph(anchor_points, radii.global_negative)
+    counts, inside = balls.counts, balls.indices
     slots = np.repeat(np.arange(len(anchors), dtype=np.intp), counts)
     diff = target.points[inside] - anchor_points[slots]
     d2 = np.einsum("ij,ij->i", diff, diff)
@@ -201,12 +206,11 @@ def build_sample_batch(source: PointCloud, target: PointCloud, gt: RigidTransfor
     # Global negatives are the targets outside each ball, ascending per row.
     outside = np.ones((len(anchors), len(target)), dtype=bool)
     outside[slots, inside] = False
-    _, columns = np.nonzero(outside)
-    global_sets = np.split(columns, np.cumsum(len(target) - counts)[:-1])
+    global_sets = [np.flatnonzero(row) for row in outside]
 
     return SampleBatch(
         anchors=anchors,
-        positives=tuple(pos_balls[a] for a in anchors),
+        positives=tuple(positive.row(a) for a in anchors),
         local_negatives=tuple(local_sets),
         global_negatives=tuple(global_sets),
         requested=n_anchors,
@@ -244,6 +248,27 @@ def _exponents(margin_gap: np.ndarray,
         return params.scale * margin_gap, params.scale
     relu = np.maximum(margin_gap, 0.0)
     return params.scale * relu * margin_gap, 2.0 * params.scale * relu
+
+
+def _weights(rows, dl: np.ndarray, d: np.ndarray, out: np.ndarray):
+    """``rows``' weight matrix of the per-row loss derivative ``dl``, divided
+    by the distance ``d`` into ``out`` (zeros): a row at d == 0 has no
+    direction and keeps its 0."""
+    return rows.weights(np.divide(dl, d, out=out, where=d > 0))
+
+
+def _negative_terms(rows, d_n: np.ndarray, sum_p: np.ndarray, params: CircleLossParams,
+                    out: np.ndarray):
+    """Per-slot sums of the negative exponentials and the negative weight
+    matrix of ``circle_loss`` (see there), written into ``out``. Every step
+    is per row or per slot, so a block of slots gets the bits of the whole."""
+    g_n, dg_n = _exponents(params.negative_margin - d_n, params)
+    # g is a fresh array, so exp overwrites it: one fewer temporary per row
+    e_n = np.exp(g_n, out=g_n)
+    sum_n = rows.sums(e_n)
+    # d loss / d d_n,j, with the negative-margin chain's sign flip
+    dl_dn = -rows.per_row(sum_p) * e_n * dg_n / rows.per_row(1.0 + sum_p * sum_n)
+    return sum_n, _weights(rows, dl_dn, d_n, out)
 
 
 @dataclass(frozen=True)
@@ -307,6 +332,52 @@ class _FlatSets:
         return sparse.csr_array((weight, self.targets, self.offsets),
                                 shape=(len(self.offsets) - 1, self.n_targets))
 
+    def negative_terms(self, d_n: np.ndarray, sum_p: np.ndarray,
+                       params: CircleLossParams) -> tuple[np.ndarray, sparse.csr_array]:
+        """``_negative_terms`` of every slot at once, as sparse weights."""
+        return _negative_terms(self, d_n, sum_p, params, np.zeros_like(d_n))
+
+
+def _add_squares(rows: np.ndarray, columns: np.ndarray, out: np.ndarray,
+                 scratch: list[np.ndarray]) -> None:
+    """``out[i, t]`` = sum over k of ``(rows[i, k] - columns[k, t]) ** 2``,
+    added in the order numpy's pairwise ``add.reduce`` takes over one row
+    of k: one by one below 8 terms, in 8 strided accumulators up to 128 and
+    then the rest one by one, and as two halves above that, the first a
+    multiple of 8 long. Each cell thus has the bits of the row form, while
+    every step is one contiguous operation over a whole block.
+    ``scratch`` holds nine arrays of ``out``'s shape."""
+    n = len(columns)
+
+    def square(k: int, into: np.ndarray) -> np.ndarray:
+        np.subtract(rows[:, k, None], columns[k], out=into)
+        return np.multiply(into, into, out=into)
+
+    if n < 8:
+        out.fill(0.0)
+        for k in range(n):
+            np.add(out, square(k, scratch[0]), out=out)
+    elif n <= 128:
+        acc, term = scratch[:8], scratch[8]
+        for j in range(8):
+            square(j, acc[j])
+        whole = n - n % 8
+        for k in range(8, whole):
+            np.add(acc[k % 8], square(k, term), out=acc[k % 8])
+        for j in (0, 2, 4, 6):
+            np.add(acc[j], acc[j + 1], out=acc[j])
+        np.add(acc[0], acc[2], out=acc[0])
+        np.add(acc[4], acc[6], out=acc[4])
+        np.add(acc[0], acc[4], out=out)
+        for k in range(whole, n):
+            np.add(out, square(k, term), out=out)
+    else:
+        half = n // 2 - n // 2 % 8
+        _add_squares(rows[:, :half], columns[:half], out, scratch)
+        rest = np.empty_like(out)
+        _add_squares(rows[:, half:], columns[half:], rest, scratch)
+        np.add(out, rest, out=out)
+
 
 @dataclass(frozen=True)
 class _TileSets:
@@ -314,33 +385,32 @@ class _TileSets:
     target) tile, for sets that cover nearly every target: ``distances``
     fills every cell, and a slot's set is the cells ``values[slot][set]``,
     gathered in the set's own order. The interface is ``_FlatSets``'s, with
-    a tile where that takes flat rows."""
+    a tile where that takes flat rows; the passes over a tile run in blocks
+    of ``_TILE_SLOTS`` slots on the worker pool, each writing its own rows."""
 
     sets: tuple[np.ndarray, ...]
     n_targets: int
 
     @classmethod
     def of(cls, sets, n_targets: int) -> "_TileSets":
-        sets = tuple(np.asarray(s, dtype=np.intp) for s in sets)
-        if not all(0 <= s.min() and s.max() < n_targets for s in sets if s.size):
-            raise ValidationError(f"sample indices must lie in [0, {n_targets})")
-        return cls(sets, n_targets)
+        """The sets unchecked: ``distances`` checks each block's sets."""
+        return cls(tuple(np.asarray(s, dtype=np.intp) for s in sets), n_targets)
 
     def distances(self, f_anchor: np.ndarray, f_tgt: np.ndarray) -> np.ndarray:
         """Exact feature distance of every (slot, target) cell, with the
-        per-cell arithmetic of ``_FlatSets.distances``."""
+        bits of ``_FlatSets.distances`` (see ``_add_squares``)."""
         tile = np.empty((len(f_anchor), len(f_tgt)))
+        columns = np.ascontiguousarray(f_tgt.T)
 
         def measure(start: int, stop: int) -> None:
-            diff = np.empty_like(f_tgt)
-            for s in range(start, stop):
-                # a contiguous subtraction is faster than one broadcasting
-                # the anchor over every target row
-                np.copyto(diff, f_anchor[s])
-                np.subtract(diff, f_tgt, out=diff)
-                np.multiply(diff, diff, out=diff)
-                np.add.reduce(diff, axis=1, out=tile[s])
-            np.sqrt(tile[start:stop], out=tile[start:stop])
+            # a negative index read as unsigned lies past any target count
+            if any(s.size and s.view(np.uintp).max() >= self.n_targets
+                   for s in self.sets[start:stop]):
+                raise ValidationError(f"sample indices must lie in [0, {self.n_targets})")
+            block = tile[start:stop]
+            _add_squares(f_anchor[start:stop], columns, block,
+                         [np.empty_like(block) for _ in range(9)])
+            np.sqrt(block, out=block)
 
         map_chunks(measure, len(tile), _TILE_SLOTS)
         return tile
@@ -362,6 +432,20 @@ class _TileSets:
         for row, s in zip(weight, self.sets):
             row *= np.bincount(s, minlength=self.n_targets)
         return weight
+
+    def negative_terms(self, d_n: np.ndarray, sum_p: np.ndarray,
+                       params: CircleLossParams) -> tuple[np.ndarray, np.ndarray]:
+        """``_negative_terms`` of each block of slots, into one weight tile."""
+        sum_n = np.empty(len(d_n))
+        weight = np.zeros_like(d_n)
+
+        def terms(start: int, stop: int) -> None:
+            block = _TileSets(self.sets[start:stop], self.n_targets)
+            sum_n[start:stop], _ = _negative_terms(block, d_n[start:stop], sum_p[start:stop],
+                                                   params, weight[start:stop])
+
+        map_chunks(terms, len(d_n), _TILE_SLOTS)
+        return sum_n, weight
 
 
 def _usable_slots(batch: SampleBatch, mode: NegativeMode) -> np.ndarray:
@@ -428,28 +512,22 @@ def circle_loss(source_features, target_features, batch: SampleBatch,
         (source_features, target_features), f_src, f_tgt, batch, mode, slots)
 
     g_p, dg_p = _exponents(d_p - params.positive_margin, params)
-    g_n, dg_n = _exponents(params.negative_margin - d_n, params)
-    # g is a fresh array, so exp overwrites it: one fewer temporary per row
     e_p = np.exp(g_p, out=g_p)
-    e_n = np.exp(g_n, out=g_n)
     sum_p = pos.sums(e_p)
-    sum_n = neg.sums(e_n)
+    sum_n, w_n = neg.negative_terms(d_n, sum_p, params)
     used = len(slots)
     # accumulate adds left to right: the anchor-order running total
     total = np.add.accumulate(np.log1p(sum_p * sum_n))[-1]
 
-    denom = 1.0 + sum_p * sum_n
-    # d loss / d d_p,j  (and the negative-margin chain flips the sign)
-    dl_dp = pos.per_row(sum_n) * e_p * dg_p / pos.per_row(denom)
-    dl_dn = -neg.per_row(sum_p) * e_n * dg_n / neg.per_row(denom)
-    # W[s, t] = (d loss / d d) / d per row; a row at d == 0 has no direction.
-    # d d / d f_a = (f_a - f_t) / d, hence grad_a = rowsum(W) f_a - W f_tgt
-    # and grad_t = colsum(W) f_t - W^T f_a: sparse products for flat rows,
-    # BLAS GEMMs for a tile.
+    # d loss / d d_p,j
+    dl_dp = pos.per_row(sum_n) * e_p * dg_p / pos.per_row(1.0 + sum_p * sum_n)
+    w_p = _weights(pos, dl_dp, d_p, np.zeros_like(d_p))
+    # W[s, t] = (d loss / d d) / d per row. d d / d f_a = (f_a - f_t) / d,
+    # hence grad_a = rowsum(W) f_a - W f_tgt and grad_t = colsum(W) f_t -
+    # W^T f_a: sparse products for flat rows, BLAS GEMMs for a tile.
     grad_anchor = np.zeros_like(f_anchor)
     grad_tgt = np.zeros_like(f_tgt)
-    for rows, dl, d in ((pos, dl_dp, d_p), (neg, dl_dn, d_n)):
-        w = rows.weights(np.divide(dl, d, out=np.zeros_like(d), where=d > 0))
+    for w in (w_p, w_n):
         grad_anchor += w.sum(axis=1)[:, None] * f_anchor - w @ f_tgt
         grad_tgt += w.sum(axis=0)[:, None] * f_tgt - w.T @ f_anchor
     grad_src = np.zeros_like(f_src)
@@ -457,8 +535,8 @@ def circle_loss(source_features, target_features, batch: SampleBatch,
 
     return CircleLossResult(
         loss=float(total / used),
-        grad_source=grad_src / used,
-        grad_target=grad_tgt / used,
+        grad_source=np.divide(grad_src, used, out=grad_src),
+        grad_target=np.divide(grad_tgt, used, out=grad_tgt),
         used_anchors=used,
         skipped_anchors=tuple(int(a) for a in batch.anchors[~usable]),
     )

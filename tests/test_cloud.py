@@ -393,6 +393,21 @@ class TestDroppedCandidates:
         assert [ball.tolist() for ball in balls] == \
             [indices[lo:hi].tolist() for lo, hi in zip(offsets[:-1], offsets[1:])]
 
+    def test_radius_graph_of_other_centres(self):
+        """The graph ``radius_batch`` splits: exact offsets, indices and
+        distances, with centres between and beyond the cloud's points."""
+        points = self._points()
+        index = build_index(PointCloud(points))
+        centers = np.vstack([points[:4], points[:3] + [5.0, 0.0, 0.0], [[100.0, 0.0, 0.0]]])
+        graph = index.radius_graph(centers, self.RADIUS)
+        for got, expected in zip((graph.offsets, graph.indices, graph.distances),
+                                 self._brute(points, centers, self.RADIUS)):
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        assert graph.counts.tolist() == [3, 3, 3, 3, 0, 0, 0, 0]
+        empty = index.radius_graph(np.empty((0, 3)), self.RADIUS)
+        assert empty.offsets.tolist() == [0] and empty.indices.dtype == np.intp
+        assert empty.indices.size == empty.distances.size == 0
+
     def test_radius_batch_with_no_candidates(self, rng):
         index = build_index(PointCloud(rng.uniform(0, 1, size=(20, 3))))
         balls = index.radius_batch(np.full((3, 3), 50.0), 0.5)

@@ -20,21 +20,26 @@ import numpy as np
 import pytest
 
 from hireg import (
+    CircleLossParams,
     DescriptorParams,
     Level,
+    NegativeMode,
     PointCloud,
     RunConfig,
     SamplingRadii,
     SceneSpec,
     build_index,
     build_sample_batch,
+    circle_loss,
     compute_descriptors,
     describe_cloud,
     estimate_normals,
     generate_scene,
+    matchability_labels,
     register,
 )
 from hireg import cloud, descriptors
+from hireg.cloud import transform_points
 from hireg.detectors import pairwise_feature_nn, score_overlap_heuristic, score_saliency
 from hireg.training import _RANGE_ROWS, _TILE_SLOTS, _FlatSets, _TileSets
 
@@ -76,6 +81,45 @@ def _use_pool(monkeypatch, workers: int) -> ThreadPoolExecutor:
     return pool
 
 
+def _on_each_pool(monkeypatch, fn) -> list:
+    """``fn()`` inline (as on a single CPU), on a 1-worker and on a 3-worker pool."""
+    results = []
+    for workers in (0, 1, 3):
+        with monkeypatch.context() as patch:
+            if workers == 0:
+                patch.setattr(cloud, "worker_count", lambda: 1)
+                pool = None
+            else:
+                pool = _use_pool(patch, workers)
+            try:
+                results.append(fn())
+            finally:
+                if pool is not None:
+                    pool.shutdown()
+    return results
+
+
+@pytest.fixture(scope="module")
+def room_batch():
+    """A 256-anchor batch of a 5k room pair, with 33-wide unit features: random
+    Fourier features of the aligned points, noisier on the source, so that
+    about half the anchors match better than their closest global negative."""
+    room = generate_scene(SceneSpec(shape="room", n_points=5000, overlap=0.7, seed=1000))
+    batch = build_sample_batch(room.source, room.target, room.transform,
+                               SamplingRadii(), 256, seed=1)
+    assert len(batch) > 4 * _TILE_SLOTS
+    rng = np.random.default_rng(0)
+    freq, phase = rng.normal(size=(3, 33)) * 10.0, rng.uniform(0.0, 2.0 * np.pi, 33)
+
+    def unit(f):
+        return f / np.linalg.norm(f, axis=1, keepdims=True)
+
+    aligned = transform_points(room.source.points, room.transform)
+    f_src = unit(unit(np.cos(aligned @ freq + phase)) + 0.3 * rng.normal(size=(len(aligned), 33)))
+    f_tgt = unit(np.cos(room.target.points @ freq + phase))
+    return batch, f_src, f_tgt
+
+
 class TestWorkerCount:
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity masks")
     def test_worker_count_is_the_affinity_mask(self):
@@ -99,42 +143,47 @@ class TestWorkerCount:
             assert got[key].dtype == expected[key].dtype, key
             assert np.array_equal(got[key], expected[key]), key
 
-    def test_training_distances_do_not_depend_on_workers(self, monkeypatch):
+    def test_training_distances_do_not_depend_on_workers(self, room_batch, monkeypatch):
         """The sample-distance passes of a 5k room batch, flat rows and the
         global-negative tile: inline, on a 1-worker and on a 3-worker pool,
         every distance has the same bits, and a tile cell has the bits of the
         flat row for the same (anchor, target)."""
-        room = generate_scene(SceneSpec(shape="room", n_points=5000, overlap=0.7, seed=1000))
-        batch = build_sample_batch(room.source, room.target, room.transform,
-                                   SamplingRadii(), 256, seed=1)
-        rng = np.random.default_rng(0)
-        f_src, f_tgt = (rng.normal(size=(len(pc), 33)) for pc in (room.source, room.target))
+        batch, f_src, f_tgt = room_batch
         f_anchor = f_src[batch.anchors]
         flat = [_FlatSets.of(sets, len(f_tgt))
                 for sets in (batch.positives, batch.local_negatives, batch.global_negatives)]
         tile = _TileSets.of(batch.global_negatives, len(f_tgt))
         assert len(flat[2].targets) > 4 * _RANGE_ROWS  # several ranges per worker
-        assert len(batch) > 4 * _TILE_SLOTS
-        results = []
-        for workers in (0, 1, 3):
-            with monkeypatch.context() as patch:
-                if workers == 0:  # inline, as on a single CPU
-                    patch.setattr(cloud, "worker_count", lambda: 1)
-                    pool = None
-                else:
-                    pool = _use_pool(patch, workers)
-                try:
-                    results.append([rows.distances(f_anchor, f_tgt)
-                                    for rows in (*flat, tile)])
-                finally:
-                    if pool is not None:
-                        pool.shutdown()
+        results = _on_each_pool(monkeypatch, lambda: [rows.distances(f_anchor, f_tgt)
+                                                      for rows in (*flat, tile)])
         for got in results[1:]:
             for a, b in zip(got, results[0]):
                 assert np.array_equal(a, b)
         global_rows, cells = results[0][2], results[0][3]
         assert cells.shape == (len(batch), len(f_tgt))
         assert np.array_equal(cells[flat[2].slots, flat[2].targets], global_rows)
+
+    @pytest.mark.parametrize("weighting", ["constant", "self_paced"])
+    def test_global_pass_does_not_depend_on_workers(self, room_batch, monkeypatch, weighting):
+        """The blocked global-negative loss and labels of a 5k room batch:
+        inline, on a 1-worker and on a 3-worker pool, the loss, the label
+        bits and the gradients have the same bits."""
+        batch, f_src, f_tgt = room_batch
+        params = CircleLossParams(weighting=weighting)
+
+        def global_pass():
+            result = circle_loss(f_src, f_tgt, batch, NegativeMode.GLOBAL, params)
+            labels = [matchability_labels(f_src, f_tgt, batch, NegativeMode.GLOBAL, reduction)
+                      for reduction in ("min", "mean")]
+            return [np.array([result.loss, result.used_anchors]), result.grad_source,
+                    result.grad_target, *(array for pair in labels for array in pair)]
+
+        results = _on_each_pool(monkeypatch, global_pass)
+        for got in results[1:]:
+            for a, b in zip(got, results[0]):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        bits, valid = results[0][3:5]
+        assert valid.all() and 0 < bits.sum() < len(bits)
 
     def test_low_does_not_depend_on_triple_budget(self, monkeypatch):
         """The dense cluster of the descriptor equivalence tests, whose
@@ -322,10 +371,15 @@ class TestMemoryBound:
         peak = self._peak(lambda: compute_descriptors(room, Level.LOW, params, normals, index))
         assert peak <= 24 * _MIB, f"low descriptors: peak {peak / _MIB:.1f} MiB"
 
-    def test_feature_nn_holds_two_buffers_per_worker(self, scene):
-        """A 128-row block holds its squared distances and its cross term."""
+    @pytest.fixture(scope="class")
+    def described(self, scene):
+        """(low, high) descriptors of the source and of the target."""
         params = DescriptorParams()
-        src, tgt = (describe_cloud(pc, params)[2].vectors for pc in (scene.source, scene.target))
+        return [describe_cloud(pc, params)[1:] for pc in (scene.source, scene.target)]
+
+    def test_feature_nn_holds_two_buffers_per_worker(self, described):
+        """A 128-row block holds its squared distances and its cross term."""
+        src, tgt = (high.vectors for _, high in described)
         peak = self._peak(lambda: pairwise_feature_nn(src, tgt))
         bound = cloud.worker_count() * 2 * 128 * len(tgt) * 8 + _MIB
         assert peak <= bound, f"peak {peak / _MIB:.1f} MiB > {bound / _MIB:.1f} MiB"
@@ -335,3 +389,31 @@ class TestMemoryBound:
         bound = (24 + 8 * cloud.worker_count()) * _MIB
         peak = self._peak(lambda: register(scene.source, scene.target))
         assert peak < bound, f"peak {peak / _MIB:.1f} MiB >= {bound / _MIB:.0f} MiB"
+
+    def test_training_step_peak_inline(self, scene, described, monkeypatch):
+        """One 256-anchor training step, inline: the batch, both circle
+        losses and both label passes. Its largest arrays are the global
+        negative sets, their distance tile and the weight tile, each about
+        (anchors x targets) 8-byte cells, plus the two levels' gradients,
+        about one more at 5k. Before the global pass ran in anchor blocks
+        the step also held the whole exponent tile, two whole temporaries
+        of the weights and the unused row half of ``np.nonzero``'s output,
+        and peaked at 46.0 MiB."""
+        monkeypatch.setattr(cloud, "worker_count", lambda: 1)
+        (src_low, src_high), (tgt_low, tgt_high) = described
+        levels = {NegativeMode.GLOBAL: (src_high, tgt_high), NegativeMode.LOCAL: (src_low, tgt_low)}
+        anchors = 256
+
+        def step():
+            batch = build_sample_batch(scene.source, scene.target, scene.transform,
+                                       SamplingRadii(), anchors, seed=1)
+            assert len(batch) == anchors
+            for mode, (src, tgt) in levels.items():
+                circle_loss(src, tgt, batch, mode, CircleLossParams())
+            for mode, (src, tgt) in levels.items():
+                matchability_labels(src, tgt, batch, mode)
+
+        tile = anchors * len(scene.target) * 8
+        peak = self._peak(step)
+        assert peak <= 4 * tile + 2 * _MIB, \
+            f"peak {peak / _MIB:.1f} MiB, (anchors x targets) {tile / _MIB:.1f} MiB"
