@@ -5,6 +5,11 @@ Two receptive fields are computed from the same machinery: a small-radius
 large-radius ("high") descriptor that additionally encodes the neighborhood's
 covariance shape, trading detail for global distinctiveness. Both are rigid
 invariant and need no training.
+
+The pair angles read points and normals as (3, N) column blocks, so each
+vector operation runs over one contiguous row per coordinate. Their 3-term
+dots add ``(a0 b0 + a2 b2) + a1 b1``, the order of ``np.einsum("ij,ij->i")``
+on numpy 2.4 x86_64, so the histograms have the bits of the (N, 3) row form.
 """
 
 from __future__ import annotations
@@ -180,11 +185,21 @@ def estimate_normals(cloud: PointCloud, radius: float,
     return normals
 
 
-def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _dot_cols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dots of the columns of two (3, n) blocks, added in the order in which
+    ``np.einsum("ij,ij->i")`` adds three terms on numpy 2.4 x86_64:
+    ``(a0 b0 + a2 b2) + a1 b1``."""
+    out = a[0] * b[0]
+    out += a[2] * b[2]
+    out += a[1] * b[1]
+    return out
+
+
+def _cross_cols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.empty_like(a)
-    out[:, 0] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
-    out[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
-    out[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    np.subtract(a[1] * b[2], a[2] * b[1], out=out[0])
+    np.subtract(a[2] * b[0], a[0] * b[2], out=out[1])
+    np.subtract(a[0] * b[1], a[1] * b[0], out=out[2])
     return out
 
 
@@ -201,15 +216,20 @@ def _full_pairs(graph: NeighborGraph, start: int, stop: int):
 
 def _strided_pairs(graph: NeighborGraph, start: int, stop: int):
     """(center, position of member) of the center-to-member pairs of centers
-    ``start:stop``, each neighbor list strided down to ``_MAX_CENTER_PAIRS``."""
+    ``start:stop``, each neighbor list strided down to ``_MAX_CENTER_PAIRS``:
+    a list of m members keeps ranks 0, s, 2s, ... below m, with stride
+    s = ceil(m / ``_MAX_CENTER_PAIRS``) once m exceeds the cap."""
     m = graph.counts[start:stop]
-    first = graph.offsets[start]
-    center = np.repeat(np.arange(start, stop), m)
     stride = np.where(m > _MAX_CENTER_PAIRS, -(-m // _MAX_CENTER_PAIRS), 1)
-    rank = np.arange(len(center)) - np.repeat(graph.offsets[start:stop] - first, m)
-    picked = np.flatnonzero((rank % np.repeat(stride, m) == 0)
-                            & (graph.indices[first:first + len(center)] != center))
-    return center[picked], first + picked
+    kept = -(-m // stride)
+    first = np.cumsum(kept) - kept
+    # Pick j of the chunk is pick j - first of its centre, which sits that
+    # many strides past the centre's offset.
+    pos = np.repeat(graph.offsets[start:stop] - first * stride, kept)
+    pos += np.arange(kept.sum()) * np.repeat(stride, kept)
+    center = np.repeat(np.arange(start, stop), kept)
+    own = graph.indices[pos] != center
+    return center[own], pos[own]
 
 
 def _center_chunks(triples: np.ndarray) -> list[int]:
@@ -231,23 +251,26 @@ def _pair_bins(points: np.ndarray, normals: np.ndarray, src: np.ndarray, dst: np
     block of ``3 * bins`` columns: the (6, pairs) left/right bin columns and
     the (3, pairs) right-hand masses; each left mass is ``1.0 - right``. A
     pair that does not vote (coincident, a normal unset, or along the source
-    normal) has all six columns at the spare column ``3 * bins``."""
-    d_unit = np.take(points, dst, axis=0)
-    d_unit -= np.take(points, src, axis=0)
-    dist = np.sqrt(np.einsum("ij,ij->i", d_unit, d_unit))
-    n_c, n_m = np.take(normals, src, axis=0), np.take(normals, dst, axis=0)
+    normal) has all six columns at the spare column ``3 * bins``.
+
+    ``points`` and ``normals`` are (3, N) column blocks (see the module
+    docstring)."""
+    d_unit = np.take(points, dst, axis=1)
+    d_unit -= np.take(points, src, axis=1)
+    dist = np.sqrt(_dot_cols(d_unit, d_unit))
+    n_c, n_m = np.take(normals, src, axis=1), np.take(normals, dst, axis=1)
     # Non-voting pairs divide by zero here; their values are replaced below.
     with np.errstate(divide="ignore", invalid="ignore"):
-        d_unit /= dist[:, None]
-        v = _cross_rows(d_unit, n_c)
-        v_norm = np.sqrt(np.einsum("ij,ij->i", v, v))
-        v /= v_norm[:, None]
-    voting = ((dist > 1e-12) & (np.einsum("ij,ij->i", n_c, n_c) > 0.5)
-              & (np.einsum("ij,ij->i", n_m, n_m) > 0.5) & (v_norm > 1e-9))
-    w = _cross_rows(n_c, v)
-    alpha = np.einsum("ij,ij->i", v, n_m)
-    phi = np.einsum("ij,ij->i", n_c, d_unit)
-    theta = np.arctan2(np.einsum("ij,ij->i", w, n_m), np.einsum("ij,ij->i", n_c, n_m))
+        d_unit /= dist
+        v = _cross_cols(d_unit, n_c)
+        v_norm = np.sqrt(_dot_cols(v, v))
+        v /= v_norm
+    voting = ((dist > 1e-12) & (_dot_cols(n_c, n_c) > 0.5)
+              & (_dot_cols(n_m, n_m) > 0.5) & (v_norm > 1e-9))
+    w = _cross_cols(n_c, v)
+    alpha = _dot_cols(v, n_m)
+    phi = _dot_cols(n_c, d_unit)
+    theta = np.arctan2(_dot_cols(w, n_m), _dot_cols(n_c, n_m))
     spare = 3 * bins
     cols = np.empty((6, len(src)), dtype=np.min_scalar_type(spare))
     right = np.empty((3, len(src)))
@@ -284,6 +307,8 @@ def _angular_histograms(points: np.ndarray, normals: np.ndarray, graph: Neighbor
     ``_CHUNK_TRIPLES`` (center, a, b) triples unless one centre has more.
     """
     n, width = points.shape[0], 3 * bins * rings
+    # The pair angles read coordinates and normals as (3, N) column blocks.
+    points_t, normals_t = np.ascontiguousarray(points.T), np.ascontiguousarray(normals.T)
     if full_pairs:
         # Every (a, b) that shares a neighborhood, as sorted keys a * n + b.
         # The product is symmetric, so its columns read as its rows.
@@ -299,7 +324,7 @@ def _angular_histograms(points: np.ndarray, normals: np.ndarray, graph: Neighbor
 
         def bin_shared(start: int, stop: int) -> None:
             cols[:, start:stop], right[:, start:stop] = _pair_bins(
-                points, normals, *np.divmod(keys[start:stop], n), bins)
+                points_t, normals_t, *np.divmod(keys[start:stop], n), bins)
 
         map_chunks(bin_shared, len(keys), _CHUNK_PAIRS)
         m = graph.counts
@@ -320,23 +345,29 @@ def _angular_histograms(points: np.ndarray, normals: np.ndarray, graph: Neighbor
             del pos_a
             pair_cols, pair_right = cols, right
         else:
+            # The pairs are binned in vote order, so no slot lookup follows.
             center, pos_b = _strided_pairs(graph, start, stop)
-            pair_cols, pair_right = _pair_bins(points, normals, center,
+            pair_cols, pair_right = _pair_bins(points_t, normals_t, center,
                                                graph.indices[pos_b], bins)
-            slot = np.arange(len(center))
-        ring = np.minimum((graph.distances[pos_b] / radius * rings).astype(np.intp), rings - 1)
+            slot = None
+        ring = 0 if rings == 1 else np.minimum(
+            (graph.distances[pos_b] / radius * rings).astype(np.intp), rings - 1)
         row_base = ((center - start) * rings + ring) * block
         del center, pos_b, ring
         # Bins and masses of all pairs, left and right of each angle in turn.
         at = np.empty((6, len(row_base)), dtype=np.intp)
         masses = np.empty((6, len(row_base)))
-        for row in range(6):
-            np.add(row_base, np.take(pair_cols[row], slot), out=at[row])
-        for row in range(3):
-            # Slots are in range by construction; "clip" lets take write
-            # into the row directly.
-            np.take(pair_right[row], slot, out=masses[2 * row + 1], mode="clip")
-            np.subtract(1.0, masses[2 * row + 1], out=masses[2 * row])
+        if slot is None:
+            np.add(row_base, pair_cols, out=at)
+            masses[1::2] = pair_right
+        else:
+            for row in range(6):
+                np.add(row_base, np.take(pair_cols[row], slot), out=at[row])
+            for row in range(3):
+                # Slots are in range by construction; "clip" lets take write
+                # into the row directly.
+                np.take(pair_right[row], slot, out=masses[2 * row + 1], mode="clip")
+        np.subtract(1.0, masses[1::2], out=masses[::2])
         votes = np.bincount(at.ravel(), masses.ravel(), (stop - start) * rings * block)
         hist[start:stop].reshape(stop - start, rings, block - 1)[:] = \
             votes.reshape(stop - start, rings, block)[:, :, :-1]

@@ -98,15 +98,21 @@ def pairwise_feature_nn(queries: np.ndarray, references: np.ndarray,
 
     def nearest(start: int, stop: int) -> None:
         # q2 + r2 - (2 q) @ r.T, in that order, with the cross term's buffer
-        # freed before the tie mask is built.
+        # freed before the tie test.
         d2 = np.add(q2[start:stop, None], r2[None, :])
         cross = np.empty_like(d2)
         np.matmul(2.0 * queries[start:stop], references.T, out=cross)
         d2 -= cross
         del cross
+        rows = np.arange(stop - start)
         winners = d2.argmin(axis=1)
-        floor = d2[np.arange(stop - start), winners]
-        tied_rows = np.flatnonzero((d2 <= floor[:, None] + 1e-10).sum(axis=1) > 1)
+        floor = d2[rows, winners]
+        # A row is near-tied when its runner-up is within 1e-10 of the
+        # winner: hide the winner's cell, take the row minima, restore it.
+        d2[rows, winners] = np.inf
+        runner_up = d2.min(axis=1)
+        d2[rows, winners] = floor
+        tied_rows = np.flatnonzero(runner_up <= floor + 1e-10)
         for row in tied_rows:
             cand = np.flatnonzero(d2[row] <= floor[row] + 1e-10)
             diff = references[cand] - queries[start + row]

@@ -5,6 +5,12 @@ high-level descriptors at sampled keypoints, made robust by RANSAC. Fine
 correspondences are mutual matches of low-level descriptors inside local
 cells around each coarse inlier pair; a score-ranked subset of them feeds a
 weighted SVD for the final transform.
+
+RANSAC draws one minimal sample per iteration, in iteration order, and fits
+and scores ``_RANSAC_BLOCK`` of them at a time with stacked SVDs and one
+residual matrix. It then replays the best count and the early exit sample by
+sample, so its iterations, consensus set and transform are those of fitting
+one sample at a time.
 """
 
 from __future__ import annotations
@@ -42,6 +48,9 @@ from .errors import DegenerateGeometryError, NoConsensusError, ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import RunConfig
+
+# Minimal samples that RANSAC fits and scores in one stacked pass.
+_RANSAC_BLOCK = 32
 
 
 class Stage(str, Enum):
@@ -177,28 +186,44 @@ def weighted_svd(source_points: np.ndarray, target_points: np.ndarray,
     if not total > 0:
         raise ValidationError("weights must not all be zero")
 
-    w = w / total
-    centroid_src = w @ src
-    centroid_tgt = w @ tgt
-    x = src - centroid_src
-    y = tgt - centroid_tgt
-    cross_cov = (x * w[:, None]).T @ y
-    u, s, vt = np.linalg.svd(cross_cov)
-    if s[0] <= 0 or s[1] <= 1e-9 * s[0]:
+    rotations, translations, fitted = _rigid_fits(src[None], tgt[None], w / total)
+    if not fitted[0]:
         raise DegenerateGeometryError(
             "weighted point set is collinear or coincident; rotation underdetermined"
         )
-    v = vt.T
-    d = np.sign(np.linalg.det(v @ u.T))
-    rotation = v @ np.diag([1.0, 1.0, d]) @ u.T
-    translation = centroid_tgt - rotation @ centroid_src
-    return RigidTransform(rotation, translation)
+    return RigidTransform(rotations[0], translations[0])
 
 
-def _nondegenerate_sample(points: np.ndarray) -> bool:
-    spread = points - points.mean(axis=0)
+def _rigid_fits(source: np.ndarray, target: np.ndarray,
+                weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weighted Kabsch fits of a stack of (B, k, 3) point-set pairs under one
+    set of k weights that sum to 1: the (B, 3, 3) rotations, the (B, 3)
+    translations and which fits constrain their rotation.
+
+    Stacked ``@``, ``svd`` and ``det`` run their per-matrix routine on each
+    item, so fit b has the bits of the same fit made alone.
+    """
+    centroid_src = weights @ source
+    centroid_tgt = weights @ target
+    x = source - centroid_src[:, None, :]
+    y = target - centroid_tgt[:, None, :]
+    cross_cov = (x * weights[:, None]).transpose(0, 2, 1) @ y
+    u, s, vt = np.linalg.svd(cross_cov)
+    fitted = ~((s[:, 0] <= 0) | (s[:, 1] <= 1e-9 * s[:, 0]))
+    v, ut = vt.transpose(0, 2, 1), u.transpose(0, 2, 1)
+    reflect = np.zeros_like(cross_cov)
+    reflect[:, 0, 0] = reflect[:, 1, 1] = 1.0
+    reflect[:, 2, 2] = np.sign(np.linalg.det(v @ ut))
+    rotations = v @ reflect @ ut
+    translations = centroid_tgt - (rotations @ centroid_src[:, :, None])[:, :, 0]
+    return rotations, translations, fitted
+
+
+def _not_collinear(samples: np.ndarray) -> np.ndarray:
+    """Which of a stack of (B, k, 3) minimal samples span more than a line."""
+    spread = samples - samples.mean(axis=1, keepdims=True)
     _, s, _ = np.linalg.svd(spread, full_matrices=False)
-    return s[0] > 0 and s[1] > 1e-9 * s[0]
+    return (s[:, 0] > 0) & (s[:, 1] > 1e-9 * s[:, 0])
 
 
 def ransac_transform(source: PointCloud, target: PointCloud,
@@ -227,7 +252,8 @@ def _ransac_with_stats(source: PointCloud, target: PointCloud,
     src = source.points[correspondences.pairs[:, 0]]
     tgt = target.points[correspondences.pairs[:, 1]]
     rng = np.random.default_rng(seed)
-    unit = np.ones(params.sample_size)
+    weights = np.ones(params.sample_size) / params.sample_size
+    threshold = params.inlier_threshold
 
     best_count = 0
     best_mask = None
@@ -235,28 +261,41 @@ def _ransac_with_stats(source: PointCloud, target: PointCloud,
     needed = params.max_iterations
     iterations = 0
     while iterations < min(params.max_iterations, needed):
-        iterations += 1
-        pick = rng.choice(n_pairs, size=params.sample_size, replace=False)
-        if not _nondegenerate_sample(src[pick]):
-            continue
-        try:
-            model = weighted_svd(src[pick], tgt[pick], unit)
-        except DegenerateGeometryError:
-            continue
-        residuals = np.linalg.norm(transform_points(src, model) - tgt, axis=1)
-        mask = residuals <= params.inlier_threshold
-        count = int(mask.sum())
-        if count > best_count:
-            best_count = count
-            best_mask = mask
-            best_residual = float(np.sqrt(np.mean(residuals[mask] ** 2)))
-            hit_rate = count / n_pairs
-            p_all_inlier = hit_rate ** params.sample_size
-            if p_all_inlier >= 1.0:
+        # One sample per iteration, drawn in iteration order; a block draws
+        # no more samples than the iterations still allowed.
+        block = min(_RANSAC_BLOCK, min(params.max_iterations, needed) - iterations)
+        picks = np.stack([rng.choice(n_pairs, size=params.sample_size, replace=False)
+                          for _ in range(block)])
+        sample_src = src[picks]
+        rotations, translations, fitted = _rigid_fits(sample_src, tgt[picks], weights)
+        # A sample that spans only a line is skipped, whatever its fit.
+        fitted &= _not_collinear(sample_src)
+        residuals = np.linalg.norm(src @ rotations.transpose(0, 2, 1)
+                                   + translations[:, None, :] - tgt, axis=2)
+        counts = (residuals <= threshold).sum(axis=1)
+        # Replay the block sample by sample: the best count, the early exit
+        # and the iteration count are those of fitting one sample at a time.
+        for sample in range(block):
+            if iterations >= min(params.max_iterations, needed):
                 break
-            if p_all_inlier > 0.0:
-                bound = np.log1p(-params.confidence) / np.log1p(-p_all_inlier)
-                needed = int(min(params.max_iterations, np.ceil(bound)))
+            iterations += 1
+            if not fitted[sample]:
+                continue
+            # A fit whose rotation is not proper raises here, in draw order.
+            RigidTransform(rotations[sample], translations[sample])
+            count = int(counts[sample])
+            if count > best_count:
+                best_count = count
+                best_mask = residuals[sample] <= threshold
+                best_residual = float(np.sqrt(np.mean(residuals[sample][best_mask] ** 2)))
+                hit_rate = count / n_pairs
+                p_all_inlier = hit_rate ** params.sample_size
+                if p_all_inlier >= 1.0:
+                    needed = iterations
+                    break
+                if p_all_inlier > 0.0:
+                    bound = np.log1p(-params.confidence) / np.log1p(-p_all_inlier)
+                    needed = int(min(params.max_iterations, np.ceil(bound)))
 
     floor = max(params.sample_size + 1,
                 int(np.ceil(params.min_inlier_fraction * n_pairs)))
@@ -271,7 +310,7 @@ def _ransac_with_stats(source: PointCloud, target: PointCloud,
 
     refit = weighted_svd(src[best_mask], tgt[best_mask], np.ones(best_count))
     residuals = np.linalg.norm(transform_points(src, refit) - tgt, axis=1)
-    final_mask = residuals <= params.inlier_threshold
+    final_mask = residuals <= threshold
     return refit, final_mask, iterations
 
 

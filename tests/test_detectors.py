@@ -17,7 +17,7 @@ from hireg import (
     score_saliency,
 )
 from hireg.cloud import SpatialIndex
-from hireg.detectors import KeypointSet, ScoreSet
+from hireg.detectors import KeypointSet, ScoreSet, pairwise_feature_nn
 
 
 def unit_rows(rng, n, dim):
@@ -44,6 +44,82 @@ class TestScoreSet:
             ScoreSet(Level.LOW, [1.5], [0.5])
         with pytest.raises(ValidationError):
             ScoreSet(Level.LOW, [0.5, 0.2], [0.5])
+
+
+def brute_force_nn(queries, references):
+    """Nearest reference row by exact squared distance, ties to the lowest
+    index, and the distance as ``pairwise_feature_nn`` computes it."""
+    idx = np.empty(len(queries), dtype=np.intp)
+    order = np.arange(len(references))
+    for i, query in enumerate(queries):
+        diff = references - query
+        idx[i] = np.lexsort((order, np.einsum("ij,ij->i", diff, diff)))[0]
+    diff = queries - references[idx]
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff)), idx
+
+
+def at_squared_distance(rng, query, d2):
+    """A row at squared distance ``d2`` from ``query``, in a random direction."""
+    direction = rng.normal(size=query.shape)
+    return query + direction / np.linalg.norm(direction) * np.sqrt(d2)
+
+
+class TestFeatureNNTies:
+    """Rows whose runner-up lies within 1e-10 of the winner in the expanded
+    form are re-decided from exact distances; the rest keep the argmin."""
+
+    def _check(self, queries, references):
+        want = brute_force_nn(queries, references)
+        for block in (1, 128):
+            dist, idx = pairwise_feature_nn(queries, references, block=block)
+            assert np.array_equal(idx, want[1]), block
+            assert np.array_equal(dist, want[0]), block
+        return want[1]
+
+    def test_duplicate_references_resolve_to_lowest_index(self, rng):
+        references = unit_rows(rng, 40, 12)
+        references[[9, 23, 31]] = references[17]
+        references[[3, 30]] = references[5]
+        queries = np.vstack([references[[17, 5, 23]] + 1e-4 * rng.normal(size=(3, 12)),
+                             references[[31, 30]], unit_rows(rng, 20, 12)])
+        idx = self._check(queries, references)
+        assert list(idx[:5]) == [9, 3, 9, 9, 3]
+
+    @pytest.mark.parametrize("gap, tied", [(0.5e-10, True), (2e-10, False)])
+    def test_runner_up_near_the_floor(self, rng, gap, tied):
+        queries = unit_rows(rng, 30, 16)
+        references = unit_rows(rng, 60, 16) * 3.0
+        # The runner-up sits at a lower index than the winner.
+        for i, query in enumerate(queries):
+            references[2 * i + 1] = at_squared_distance(rng, query, 0.01)
+            references[2 * i] = at_squared_distance(rng, query, 0.01 + gap)
+        idx = self._check(queries, references)
+        assert np.array_equal(idx, 2 * np.arange(len(queries)) + 1)
+        # The runner-up lies inside the 1e-10 band, or outside it.
+        d2 = ((queries[:, None, :] - references[None, :, :]) ** 2).sum(axis=2)
+        rows = np.arange(len(queries))
+        assert np.all((d2[rows, 2 * rows] - d2[rows, 2 * rows + 1] <= 1e-10) == tied)
+
+    def test_ties_below_rounding_noise_follow_exact_distances(self, rng):
+        # Squared distances 1e-17 apart, below the expanded form's noise, so
+        # its argmin alone picks the wrong row for some queries.
+        queries = unit_rows(rng, 200, 8)
+        references = np.empty((400, 8))
+        for i, query in enumerate(queries):
+            references[2 * i] = at_squared_distance(rng, query, 0.5 + 1e-16)
+            references[2 * i + 1] = at_squared_distance(rng, query, 0.5)
+        q2 = np.einsum("ij,ij->i", queries, queries)
+        r2 = np.einsum("ij,ij->i", references, references)
+        expanded = (q2[:, None] + r2[None, :] - (2.0 * queries) @ references.T).argmin(axis=1)
+        _, exact = brute_force_nn(queries, references)
+        assert (expanded != exact).any()
+        self._check(queries, references)
+
+    def test_single_reference_row(self, rng):
+        references = unit_rows(rng, 1, 10)
+        queries = np.vstack([references, unit_rows(rng, 150, 10)])
+        idx = self._check(queries, references)
+        assert not idx.any()
 
 
 class TestScoreSaliency:
