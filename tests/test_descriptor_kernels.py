@@ -123,9 +123,9 @@ def _ref_strided_pairs(graph, start, stop):
 SIZES = (1, 2, 95, 96, 97, 191, 192, 193, 500)
 
 
-def _graph_of_sizes(sizes, seed: int = 0) -> NeighborGraph:
+def _graph_of_sizes(sizes) -> NeighborGraph:
     """Sorted rows of the given sizes over 600 points; row i holds point i."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     rows = []
     for center, m in enumerate(sizes):
         others = np.delete(np.arange(600), center)
@@ -143,12 +143,4 @@ def test_strided_pairs_match_rank_scan(start, stop):
     want_center, want_pos = _ref_strided_pairs(graph, start, stop)
     assert np.array_equal(center, want_center)
     assert np.array_equal(pos, want_pos)
-
-
-@pytest.mark.parametrize("m", SIZES)
-def test_strided_pairs_keep_at_most_the_cap(m):
-    graph = _graph_of_sizes([m], seed=m)
-    center, pos = _strided_pairs(graph, 0, 1)
-    assert np.array_equal(center, np.zeros(len(pos), dtype=center.dtype))
-    assert len(pos) <= _MAX_CENTER_PAIRS
-    assert np.array_equal(pos, _ref_strided_pairs(graph, 0, 1)[1])
+    assert np.bincount(center, minlength=1).max() <= _MAX_CENTER_PAIRS
