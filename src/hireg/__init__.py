@@ -9,7 +9,6 @@ from .cloud import (
     build_index,
     compose,
     invert,
-    radius_query,
     transform_points,
 )
 from .config import DetectorParams, MatchingParams, MetricParams, RunConfig, load_config, save_config

@@ -341,6 +341,8 @@ def run_losscheck(seed: int, corrupt: bool = False) -> tuple[dict[str, float], b
     """All loss/gradient self-checks; returns (max relative errors, all_ok)."""
     from .training import CircleLossParams, TargetScores
 
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     params = CircleLossParams()
     targets = TargetScores()

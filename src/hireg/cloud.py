@@ -312,11 +312,3 @@ def build_index(cloud: PointCloud) -> SpatialIndex:
     if len(cloud) == 0:
         raise ValidationError("cannot build a spatial index over an empty cloud")
     return SpatialIndex(cloud, cKDTree(cloud.points))
-
-
-def radius_query(index: SpatialIndex, center, radius: float) -> np.ndarray:
-    """Indices of all points with ||p - center|| <= radius, ascending."""
-    if not radius > 0:
-        raise ValidationError("radius must be positive")
-    center = _as_vector3(center, "center")
-    return index.radius_batch(center[None, :], float(radius))[0]

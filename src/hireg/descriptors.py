@@ -372,11 +372,7 @@ def _angular_histograms(points: np.ndarray, normals: np.ndarray, graph: Neighbor
         hist[start:stop].reshape(stop - start, rings, block - 1)[:] = \
             votes.reshape(stop - start, rings, block)[:, :, :-1]
 
-    def run(first: int, last: int) -> None:
-        for k in range(first, last):
-            histogram(bounds[k], bounds[k + 1])
-
-    map_chunks(run, len(bounds) - 1, 1)
+    map_chunks(lambda k, _: histogram(bounds[k], bounds[k + 1]), len(bounds) - 1, 1)
     # Relative frequencies per block, so the histogram is invariant to
     # neighborhood size (sampling density varies between cloud pairs).
     blocks = hist.reshape(n, 3 * rings, bins)

@@ -227,23 +227,17 @@ def _not_collinear(samples: np.ndarray) -> np.ndarray:
 
 
 def ransac_transform(source: PointCloud, target: PointCloud,
-                     correspondences: CorrespondenceSet,
-                     params: RansacParams, seed: int) -> tuple[RigidTransform, np.ndarray]:
+                     correspondences: CorrespondenceSet, params: RansacParams,
+                     seed: int) -> tuple[RigidTransform, np.ndarray, int]:
     """Consensus rigid transform over putative correspondences.
 
     Iterates minimal-sample fits, counting pairs with post-transform residual
     <= inlier_threshold, early-exits once the confidence bound on having seen
-    an all-inlier sample is met, then refits on the best consensus set. The
-    returned mask is recomputed under the returned transform, so re-checking
-    residuals reproduces it exactly. Samples are drawn from ``seed``.
+    an all-inlier sample is met, then refits on the best consensus set.
+    Returns the transform, the inlier mask and the iterations run. The mask
+    is recomputed under the returned transform, so re-checking residuals
+    reproduces it exactly. Samples are drawn from ``seed``.
     """
-    transform, mask, _ = _ransac_with_stats(source, target, correspondences, params, seed)
-    return transform, mask
-
-
-def _ransac_with_stats(source: PointCloud, target: PointCloud,
-                       correspondences: CorrespondenceSet,
-                       params: RansacParams, seed: int) -> tuple[RigidTransform, np.ndarray, int]:
     n_pairs = len(correspondences)
     if n_pairs < params.sample_size:
         raise ValidationError(
@@ -260,10 +254,10 @@ def _ransac_with_stats(source: PointCloud, target: PointCloud,
     best_residual = float("inf")
     needed = params.max_iterations
     iterations = 0
-    while iterations < min(params.max_iterations, needed):
+    while iterations < needed:
         # One sample per iteration, drawn in iteration order; a block draws
         # no more samples than the iterations still allowed.
-        block = min(_RANSAC_BLOCK, min(params.max_iterations, needed) - iterations)
+        block = min(_RANSAC_BLOCK, needed - iterations)
         picks = np.stack([rng.choice(n_pairs, size=params.sample_size, replace=False)
                           for _ in range(block)])
         sample_src = src[picks]
@@ -276,7 +270,7 @@ def _ransac_with_stats(source: PointCloud, target: PointCloud,
         # Replay the block sample by sample: the best count, the early exit
         # and the iteration count are those of fitting one sample at a time.
         for sample in range(block):
-            if iterations >= min(params.max_iterations, needed):
+            if iterations >= needed:
                 break
             iterations += 1
             if not fitted[sample]:
@@ -354,8 +348,6 @@ def select_fine_subset(fine: CorrespondenceSet, low_scores: ScoreSet,
     """
     if not 0 < top_fraction <= 1:
         raise ValidationError("top_fraction must be in (0, 1]")
-    if len(fine) == 0:
-        return CorrespondenceSet(np.empty((0, 2), dtype=np.intp), np.empty(0), Stage.FINE)
     scores = low_scores.detection[fine.pairs[:, 0]]
     order = np.lexsort((fine.pairs[:, 0], -scores))
     keep = order[: int(np.ceil(top_fraction * len(fine)))]
@@ -423,7 +415,7 @@ def register(source: PointCloud, target: PointCloud,
             f"only {len(coarse)} coarse matches", best_inliers=0, iterations=0,
         ), Stage.COARSE)
     try:
-        coarse_transform, inlier_mask, iterations = _ransac_with_stats(
+        coarse_transform, inlier_mask, iterations = ransac_transform(
             source, target, coarse, config.ransac, config.seed + 3)
     except (NoConsensusError, DegenerateGeometryError) as exc:
         raise _stage_error(exc, Stage.COARSE)

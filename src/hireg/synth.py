@@ -8,6 +8,7 @@ every generated pair carries exact per-point overlap ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -26,7 +27,8 @@ class SceneSpec:
     ``overlap`` is the target fraction of source points that survive into the
     target (verified within +/- 5% by direct measurement at
     ``overlap_radius``). A ``transform`` of None draws a random rigid motion
-    from the seed.
+    from the seed, which must be a nonnegative integer. The four float fields
+    take real numbers; ``True`` and strings are rejected.
     """
 
     shape: str = "room"
@@ -45,11 +47,20 @@ class SceneSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
+        for name in ("overlap", "noise_sigma", "outlier_fraction", "overlap_radius"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValidationError(f"{name} must be a number, got {value!r}")
         if self.n_points < 1:
             raise ValidationError("n_points must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
+        if self.transform is not None and not isinstance(self.transform, RigidTransform):
+            raise ValidationError(f"transform must be None or a RigidTransform, "
+                                  f"got {type(self.transform).__name__}")
         if not 0 <= self.overlap <= 1:
             raise ValidationError("overlap must lie in [0, 1]")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ValidationError("noise_sigma must be >= 0")
         if not 0 <= self.outlier_fraction <= 1:
             raise ValidationError("outlier_fraction must lie in [0, 1]")

@@ -31,7 +31,6 @@ from hireg import (
     inlier_ratio,
     keypoint_rankings,
     overlap_loss,
-    radius_query,
     ransac_transform,
     rating_loss,
     register,
@@ -210,7 +209,7 @@ def test_criterion_3_geometry_suite():
         index = build_index(PointCloud(points))
         center = inst_rng.uniform(-1, 1, size=3)
         radius = inst_rng.uniform(0.1, 1.2)
-        got = set(radius_query(index, center, radius).tolist())
+        got = set(index.radius_batch(center[None], radius)[0].tolist())
         want = {i for i in range(120)
                 if math.dist(points[i], center) <= radius}
         assert got == want
@@ -233,7 +232,8 @@ def test_criterion_4_robust_matching():
         correspondences = CorrespondenceSet(pairs, np.ones(100), Stage.COARSE)
         params = RansacParams(max_iterations=1000, inlier_threshold=0.05)
         try:
-            estimate, _ = ransac_transform(source, target, correspondences, params, seed=seed)
+            estimate, _, _ = ransac_transform(source, target, correspondences, params,
+                                              seed=seed)
         except NoConsensusError:
             continue
         if (rotation_error(estimate, transform) < 0.5

@@ -317,6 +317,11 @@ class TestLosscheckCommand:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_negative_seed_exits_one(self, capsys):
+        assert main(["losscheck", "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: seed must be >= 0\n"
+
 
 class TestGenSceneCommand:
     def test_writes_all_artifacts(self, tmp_path):
@@ -343,6 +348,13 @@ class TestGenSceneCommand:
                      "--overlap", "0.9", "--noise", "0.9", "--seed", "0",
                      "--out-prefix", str(tmp_path / "bad")])
         assert code == 1
+
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        prefix = tmp_path / "scene"
+        assert main(["gen-scene", "--points", "300", "--seed", "-1",
+                     "--out-prefix", str(prefix)]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        assert not Path(f"{prefix}_src.ply").exists()
 
 
 class TestBenchCommand:
@@ -465,6 +477,25 @@ class TestBenchCommand:
         assert main(["bench", "--spec", str(spec), "--samples", "60"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: pair typo: bad scene: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1),
+        ("transform", {"rotation": np.eye(3).tolist(), "translation": [0.0, 0.0, 0.0]}),
+        ("overlap", True),
+        ("overlap", "0.7"),
+        ("noise_sigma", None),
+        ("outlier_fraction", [0.1]),
+        ("overlap_radius", True),
+    ], ids=["seed-negative", "transform-object", "overlap-bool", "overlap-string",
+            "noise-null", "outliers-list", "radius-bool"])
+    def test_bad_scene_field_is_named(self, tmp_path, capsys, field, value):
+        scene = {"shape": "room", "n_points": 300, "seed": 1, field: value}
+        spec = tmp_path / "bench.json"
+        spec.write_text(json.dumps({"pairs": [{"id": "typo", "scene": scene}]}))
+        assert main(["bench", "--spec", str(spec), "--samples", "60"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: pair typo: bad scene: {field} must be ")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("spec, message", [

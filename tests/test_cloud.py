@@ -22,7 +22,6 @@ from hireg import (
     compute_descriptors,
     estimate_normals,
     invert,
-    radius_query,
 )
 
 from conftest import axis_angle_rotation, count_tree_queries, random_transform
@@ -161,7 +160,7 @@ class TestSpatialIndex:
 
     def test_single_point_radius(self):
         index = build_index(PointCloud(np.array([[1.0, 2.0, 3.0]])))
-        assert radius_query(index, [1.0, 2.0, 3.0], 0.5).tolist() == [0]
+        assert index.radius_batch(np.array([[1.0, 2.0, 3.0]]), 0.5)[0].tolist() == [0]
 
     def test_grid_face_neighbors(self):
         # 3x3x3 unit grid: exactly the center and its 6 face neighbors lie
@@ -169,24 +168,19 @@ class TestSpatialIndex:
         coords = np.array([[x, y, z] for x in range(3) for y in range(3) for z in range(3)],
                           dtype=np.float64)
         index = build_index(PointCloud(coords))
-        hits = radius_query(index, [1.0, 1.0, 1.0], 1.0)
+        hits = index.radius_batch(np.array([[1.0, 1.0, 1.0]]), 1.0)[0]
         assert len(hits) == 7
         expected = brute_radius(coords.tolist(), [1.0, 1.0, 1.0], 1.0)
         assert set(hits.tolist()) == expected
 
-    def test_radius_rejects_nonpositive(self, rng):
-        index = build_index(PointCloud(rng.normal(size=(5, 3))))
-        with pytest.raises(ValidationError):
-            radius_query(index, [0, 0, 0], 0.0)
-
     def test_radius_empty_and_full(self, rng):
         points = rng.uniform(0, 1, size=(50, 3))
         index = build_index(PointCloud(points))
-        far = [10.0, 10.0, 10.0]
-        assert radius_query(index, far, 1e-6).size == 0
+        far = np.array([10.0, 10.0, 10.0])
+        assert index.radius_batch(far[None], 1e-6)[0].size == 0
         centroid = points.mean(axis=0)
         diameter = np.linalg.norm(points[:, None] - points[None, :], axis=2).max()
-        assert len(radius_query(index, centroid, diameter + 1.0)) == 50
+        assert len(index.radius_batch(centroid[None], diameter + 1.0)[0]) == 50
 
     def test_radius_matches_brute_force(self, rng):
         points = rng.uniform(-1, 1, size=(500, 3))
@@ -195,7 +189,7 @@ class TestSpatialIndex:
         for _ in range(20):
             center = rng.uniform(-1, 1, size=3)
             radius = rng.uniform(0.05, 1.0)
-            got = set(radius_query(index, center, radius).tolist())
+            got = set(index.radius_batch(center[None], radius)[0].tolist())
             assert got == brute_radius(pts_list, center.tolist(), radius)
 
     def test_knn_exact_hit(self, rng):
@@ -231,7 +225,7 @@ class TestSpatialIndex:
             k = int(rng.integers(2, 40))
             _, nearest = index.knn_batch(center[None, :], k)
             kth_dist = np.linalg.norm(points[nearest[0, -1]] - center)
-            ball = set(radius_query(index, center, kth_dist).tolist())
+            ball = set(index.radius_batch(center[None], kth_dist)[0].tolist())
             assert set(nearest[0].tolist()) <= ball
 
 
@@ -242,7 +236,8 @@ class TestNeighborGraph:
         assert graph.offsets[0] == 0 and graph.offsets[-1] == len(graph.indices)
         for i, center in enumerate(points):
             row = slice(graph.offsets[i], graph.offsets[i + 1])
-            assert graph.indices[row].tolist() == radius_query(index, center, radius).tolist()
+            ball = index.radius_batch(center[None], radius)[0]
+            assert graph.indices[row].tolist() == ball.tolist()
             expected = np.linalg.norm(points[graph.indices[row]] - center, axis=1)
             np.testing.assert_allclose(graph.distances[row], expected, rtol=1e-15, atol=0)
 

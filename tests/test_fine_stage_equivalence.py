@@ -1,7 +1,7 @@
 """``register`` against the earlier score and fine stages.
 
 The reference below is the earlier pipeline: saliency scored for all four
-(cloud, level) sets, fine cells found by one ``radius_query`` per endpoint,
+(cloud, level) sets, fine cells found by one ``radius_batch`` query per endpoint,
 each cell's pairs weighted by source detection, and duplicates across cells
 collapsed by a max-weight dedup before the score-ranked subset. ``register``
 scores three sets, reads cells as neighbour-graph rows and deduplicates with
@@ -25,7 +25,6 @@ from hireg import (
     generate_scene,
     local_cell_match,
     match_features,
-    radius_query,
     register,
     sample_keypoints,
     select_fine_subset,
@@ -33,7 +32,7 @@ from hireg import (
 )
 from hireg.config import DetectorParams
 from hireg.detectors import ScoreSet, score_overlap_heuristic, score_saliency
-from hireg.matching import Stage, _ransac_with_stats
+from hireg.matching import Stage, ransac_transform
 
 
 def _ref_dedup_max_weight(pairs, weights):
@@ -49,8 +48,8 @@ def _ref_dedup_max_weight(pairs, weights):
 
 def _ref_cell(source, target, pair, src_low, tgt_low, radius, src_index, tgt_index,
               detection):
-    src_cell = radius_query(src_index, source.points[pair[0]], radius)
-    tgt_cell = radius_query(tgt_index, target.points[pair[1]], radius)
+    src_cell = src_index.radius_batch(source.points[pair[0]][None], radius)[0]
+    tgt_cell = tgt_index.radius_batch(target.points[pair[1]][None], radius)[0]
     if src_cell.size == 0 or tgt_cell.size == 0:
         return np.empty((0, 2), dtype=np.intp), np.empty(0)
     local = match_features(src_low.vectors[src_cell], tgt_low.vectors[tgt_cell])
@@ -88,7 +87,7 @@ def _ref_register(source, target, config):
         np.column_stack([kp_src.indices[local.pairs[:, 0]],
                          kp_tgt.indices[local.pairs[:, 1]]]),
         local.weights, Stage.COARSE)
-    coarse_transform, inlier_mask, iterations = _ransac_with_stats(
+    coarse_transform, inlier_mask, iterations = ransac_transform(
         source, target, coarse, config.ransac, config.seed + 3)
 
     detection = scores["src", Level.LOW].detection

@@ -1,6 +1,8 @@
-"""Arbitrary JSON at the two document boundaries: a run config and a bench spec.
+"""Arbitrary JSON at the document boundaries: a run config, a bench spec and
+a bench spec's scene object.
 
-Either document is accepted or rejected with ``ValidationError``; no other
+Each is accepted or rejected with ``ValidationError``; a scene with an unknown
+key raises ``TypeError``, which ``bench`` reports as a bad scene. No other
 exception may escape, so the command line prints ``error: ...`` and exits 1.
 The strategies draw the real key names, and values of each field's type, often
 enough that values of every JSON type reach every field and some documents
@@ -14,7 +16,7 @@ from dataclasses import fields
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hireg import RunConfig, ValidationError
+from hireg import RunConfig, SceneSpec, ValidationError
 from hireg.cli import _parse_bench_spec
 from hireg.config import _SECTION_TYPES
 
@@ -53,6 +55,35 @@ SPECS = _keyed(
 ) | JSON
 
 
+_SCENE_FIELDS = {f.name for f in fields(SceneSpec)}
+_VALID_SCENE = st.fixed_dictionaries({}, optional={
+    "shape": st.sampled_from(["plane", "box", "room"]),
+    "n_points": st.integers(1, 3000),
+    "seed": st.integers(0, 2 ** 32),
+    "overlap": st.floats(0.0, 1.0),
+    "noise_sigma": st.floats(0.0, 0.1),
+    "outlier_fraction": st.floats(0.0, 1.0),
+    "overlap_radius": st.floats(0.0, 1.0, exclude_min=True),
+    "transform": st.none(),
+})
+_NEAR_SCENE = {"n_points": st.integers(-2, 0), "seed": st.integers(-2, 0)}
+
+
+@st.composite
+def _scenes(draw):
+    """Bench-spec scene objects: valid fields, then mostly one field (or an
+    unknown key) set to a value just outside its domain, a bool or any JSON."""
+    document = draw(_VALID_SCENE)
+    if draw(st.integers(0, 3)):
+        key = draw(st.sampled_from(sorted(_SCENE_FIELDS) + ["n_point"]))
+        document[key] = draw(_NEAR_SCENE.get(key, st.floats(-1.0, 2.0)) | st.booleans()
+                             | JSON)
+    return document
+
+
+SCENES = _scenes()
+
+
 def _types(document: dict) -> dict:
     return {key: _types(value) if isinstance(value, dict) else type(value)
             for key, value in document.items()}
@@ -79,3 +110,24 @@ def test_bench_spec_accepted_or_validation_error(spec):
         return
     assert entries and all(isinstance(entry, dict) for entry in entries)
     assert samples is None or all(type(c) is int and c >= 1 for c in samples)
+
+
+@settings(deadline=None, max_examples=500)
+@given(SCENES)
+def test_scene_spec_constructs_or_validation_error(document):
+    try:
+        spec = SceneSpec(**document)
+    except ValidationError:
+        return
+    except TypeError:
+        # only an unknown key, never a comparison on a value of the wrong type
+        assert not document.keys() <= _SCENE_FIELDS
+        return
+    for name in ("overlap", "noise_sigma", "outlier_fraction", "overlap_radius"):
+        value = getattr(spec, name)
+        assert isinstance(value, (int, float)) and not isinstance(value, bool), name
+    assert 0 <= spec.overlap <= 1 and 0 <= spec.outlier_fraction <= 1
+    assert spec.noise_sigma >= 0 and spec.overlap_radius > 0
+    assert type(spec.n_points) is int and spec.n_points >= 1
+    assert type(spec.seed) is int and spec.seed >= 0
+    assert spec.transform is None

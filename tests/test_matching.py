@@ -210,7 +210,7 @@ class TestRansac:
     def test_noiseless_exact_recovery(self, rng):
         src, tgt, corr, t = consensus_problem(rng, n_inliers=30, n_outliers=0)
         params = RansacParams(max_iterations=1000, inlier_threshold=0.05)
-        est, mask = ransac_transform(src, tgt, corr, params, seed=3)
+        est, mask, _ = ransac_transform(src, tgt, corr, params, seed=3)
         assert rotation_error(est, t) < np.degrees(1e-6)
         assert translation_error(est, t) < 1e-6
         assert mask.all()
@@ -222,7 +222,7 @@ class TestRansac:
             src, tgt, corr, t = consensus_problem(rng, n_inliers=40, n_outliers=60)
             params = RansacParams(max_iterations=1000, inlier_threshold=0.05)
             try:
-                est, _ = ransac_transform(src, tgt, corr, params, seed=seed)
+                est, _, _ = ransac_transform(src, tgt, corr, params, seed=seed)
             except NoConsensusError:
                 continue
             if rotation_error(est, t) < 0.5 and translation_error(est, t) < 0.02:
@@ -242,7 +242,7 @@ class TestRansac:
     def test_mask_is_exact(self, rng):
         src, tgt, corr, _ = consensus_problem(rng, noise=0.01)
         params = RansacParams(max_iterations=500, inlier_threshold=0.05)
-        est, mask = ransac_transform(src, tgt, corr, params, seed=7)
+        est, mask, _ = ransac_transform(src, tgt, corr, params, seed=7)
         residuals = np.linalg.norm(
             transform_points(src.points[corr.pairs[:, 0]], est) - tgt.points[corr.pairs[:, 1]],
             axis=1)
@@ -251,8 +251,8 @@ class TestRansac:
     def test_deterministic_given_seed(self, rng):
         src, tgt, corr, _ = consensus_problem(rng)
         params = RansacParams(max_iterations=300)
-        a, mask_a = ransac_transform(src, tgt, corr, params, seed=5)
-        b, mask_b = ransac_transform(src, tgt, corr, params, seed=5)
+        a, mask_a, _ = ransac_transform(src, tgt, corr, params, seed=5)
+        b, mask_b, _ = ransac_transform(src, tgt, corr, params, seed=5)
         np.testing.assert_array_equal(a.rotation, b.rotation)
         np.testing.assert_array_equal(mask_a, mask_b)
 
@@ -359,7 +359,10 @@ class TestSelectFineSubset:
 
     def test_empty_input_empty_output(self, rng):
         fine = CorrespondenceSet(np.empty((0, 2)), np.empty(0), Stage.FINE)
-        assert len(select_fine_subset(fine, self._scores(rng.uniform(0, 1, 5)), 0.5)) == 0
+        subset = select_fine_subset(fine, self._scores(rng.uniform(0, 1, 5)), 0.5)
+        assert subset.pairs.shape == (0, 2) and subset.pairs.dtype == np.intp
+        assert subset.weights.shape == (0,) and subset.weights.dtype == np.float64
+        assert subset.stage == Stage.FINE
 
     def test_bad_fraction(self, rng):
         fine = CorrespondenceSet(np.array([[0, 0]]), np.ones(1), Stage.FINE)

@@ -1,6 +1,6 @@
 """RANSAC in stacked blocks against the per-sample loop.
 
-``_ransac_with_stats`` draws its minimal samples one per iteration, in
+``ransac_transform`` draws its minimal samples one per iteration, in
 iteration order, fits and scores a block of them with stacked ``svd`` and
 ``@`` and one residual matrix, then replays the best-count and early-exit
 logic sample by sample. The reference below is the earlier loop: one draw,
@@ -23,7 +23,7 @@ from hireg import (
     RigidTransform,
 )
 from hireg.cloud import transform_points
-from hireg.matching import _RANSAC_BLOCK, Stage, _ransac_with_stats
+from hireg.matching import _RANSAC_BLOCK, Stage, ransac_transform
 
 from conftest import random_rotation
 
@@ -121,7 +121,7 @@ def _problem(seed: int, inliers: int, outliers: int, noise: float = 0.005,
 
 def _assert_same(problem, params, seed) -> tuple:
     want = _outcome(_ref_ransac, *problem, params, seed)
-    got = _outcome(_ransac_with_stats, *problem, params, seed)
+    got = _outcome(ransac_transform, *problem, params, seed)
     assert got == want
     return got
 
