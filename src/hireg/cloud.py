@@ -197,6 +197,16 @@ class NeighborGraph:
     def row(self, i: int) -> np.ndarray:
         return self.indices[self.offsets[i]:self.offsets[i + 1]]
 
+    def rows(self, ids: np.ndarray) -> "NeighborGraph":
+        """The graph of rows ``ids`` alone, in the order given."""
+        ids = np.asarray(ids, dtype=np.intp)
+        counts = self.offsets[ids + 1] - self.offsets[ids]
+        offsets = np.zeros(len(ids) + 1, dtype=np.intp)
+        np.cumsum(counts, out=offsets[1:])
+        pos = np.repeat(self.offsets[ids] - offsets[:-1], counts)
+        pos += np.arange(offsets[-1])
+        return NeighborGraph(offsets, np.take(self.indices, pos), np.take(self.distances, pos))
+
 
 @dataclass(frozen=True)
 class SpatialIndex:

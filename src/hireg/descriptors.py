@@ -294,7 +294,7 @@ def _pair_bins(points: np.ndarray, normals: np.ndarray, src: np.ndarray, dst: np
 def _angular_histograms(points: np.ndarray, normals: np.ndarray, graph: NeighborGraph,
                         bins: int, full_pairs: bool, rings: int = 1,
                         radius: float = 1.0) -> np.ndarray:
-    """Histogram of (alpha, phi, theta) pair angles per center point.
+    """Histogram of (alpha, phi, theta) pair angles per row of ``graph``.
 
     ``full_pairs`` histograms every ordered pair inside the neighborhood
     (denser signal, quadratic cost; used for the small low-level field)
@@ -305,15 +305,21 @@ def _angular_histograms(points: np.ndarray, normals: np.ndarray, graph: Neighbor
     get distinct signatures. Both the shared pairs and the centres run in
     chunks on the worker pool; a centre chunk holds at most
     ``_CHUNK_TRIPLES`` (center, a, b) triples unless one centre has more.
+
+    With ``full_pairs`` the graph may hold the rows of some centres only
+    (``NeighborGraph.rows``): the shared pairs are then those of these rows,
+    and each row has the bits of the whole graph's row, since its bins sum
+    the same votes in the same (center, a, b) order.
     """
     n, width = points.shape[0], 3 * bins * rings
+    n_rows = len(graph.offsets) - 1
     # The pair angles read coordinates and normals as (3, N) column blocks.
     points_t, normals_t = np.ascontiguousarray(points.T), np.ascontiguousarray(normals.T)
     if full_pairs:
         # Every (a, b) that shares a neighborhood, as sorted keys a * n + b.
         # The product is symmetric, so its columns read as its rows.
         adjacency = sparse.csr_matrix((np.ones(len(graph.indices), dtype=bool),
-                                       graph.indices, graph.offsets), shape=(n, n))
+                                       graph.indices, graph.offsets), shape=(n_rows, n))
         shared = adjacency.T @ adjacency
         shared.sort_indices()
         keys = np.repeat(np.arange(n, dtype=np.intp) * n, np.diff(shared.indptr))
@@ -330,13 +336,13 @@ def _angular_histograms(points: np.ndarray, normals: np.ndarray, graph: Neighbor
         m = graph.counts
         bounds = _center_chunks(m * (m - 1))
     else:
-        bounds = [*range(0, n, _CHUNK_CENTERS), n]
+        bounds = [*range(0, n_rows, _CHUNK_CENTERS), n_rows]
 
     # Each (center, ring) block has a spare last column for the votes of
     # pairs that do not vote; it is dropped below, so every real bin sums the
     # same masses in the same order.
     block = 3 * bins + 1
-    hist = np.empty((n, width))
+    hist = np.empty((n_rows, width))
 
     def histogram(start: int, stop: int) -> None:
         if full_pairs:
@@ -375,19 +381,23 @@ def _angular_histograms(points: np.ndarray, normals: np.ndarray, graph: Neighbor
     map_chunks(lambda k, _: histogram(bounds[k], bounds[k + 1]), len(bounds) - 1, 1)
     # Relative frequencies per block, so the histogram is invariant to
     # neighborhood size (sampling density varies between cloud pairs).
-    blocks = hist.reshape(n, 3 * rings, bins)
+    blocks = hist.reshape(n_rows, 3 * rings, bins)
     totals = blocks.sum(axis=2, keepdims=True)
-    return np.where(totals > 0, blocks / np.maximum(totals, 1e-300), 0.0).reshape(n, width)
+    return np.where(totals > 0, blocks / np.maximum(totals, 1e-300), 0.0).reshape(n_rows, width)
 
 
 def compute_descriptors(cloud: PointCloud, level: Level, params: DescriptorParams,
                         normals: np.ndarray | None = None,
-                        index: SpatialIndex | None = None) -> DescriptorSet:
+                        index: SpatialIndex | None = None,
+                        centers: np.ndarray | None = None) -> DescriptorSet:
     """Per-point descriptor at the given level's receptive field.
 
     ``normals`` and ``index`` may be precomputed to share them across levels;
     both default to fresh, deterministic computations. Points with no usable
-    neighborhood yield the zero vector.
+    neighborhood yield the zero vector. At the low level, ``centers`` (point
+    indices) limits the work to those points: row ``i`` of the result is
+    point ``centers[i]``'s descriptor, with the bits it has in the
+    whole-cloud result.
     """
     _require_nonempty(cloud)
     level = Level(level)
@@ -401,7 +411,14 @@ def compute_descriptors(cloud: PointCloud, level: Level, params: DescriptorParam
             raise ValidationError("normals must match the cloud point-for-point")
 
     low = level == Level.LOW
+    if centers is not None and not low:
+        raise ValidationError("centers apply to the low level only")
     graph = index.neighbor_graph(params.radius(level))
+    if centers is not None:
+        centers = np.asarray(centers, dtype=np.intp).reshape(-1)
+        if centers.size and not (0 <= centers.min() and centers.max() < len(cloud)):
+            raise ValidationError("centers index outside the cloud")
+        graph = graph.rows(centers)
     features = _angular_histograms(cloud.points, normals, graph, params.bins, full_pairs=low,
                                    rings=params.low_rings if low else 1,
                                    radius=params.radius(level))

@@ -18,6 +18,9 @@ from .errors import DegenerateScoreError, ValidationError
 
 # Points whose neighbour descriptor differences one saliency chunk holds.
 _CHUNK_ROWS = 256
+# Near-tied (query, candidate reference) pairs whose exact distances one
+# re-decision chunk computes.
+_CHUNK_CANDIDATES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -81,43 +84,97 @@ class KeypointSet:
         return self.indices.shape[0]
 
 
+def _tie_band(dim: int, scale: float, dtype) -> np.float64:
+    """Twice a bound E on the error of ``r2 - 2 q.r`` evaluated in ``dtype``,
+    against the exact squared distance less ``q2``, for rows of dimension D
+    whose query and reference norms sum to at most ``scale``.
+
+    With unit roundoff u, rounding the rows and ``r2`` to ``dtype``, the
+    D-term dot product and the final sum err by at most (D / 2 + 3.5) u
+    scale^2; values that underflow add at most (D + 4) t (1 + scale), with t
+    the smallest subnormal. E is (D + 4) (u scale^2 + t (1 + scale)), which
+    leaves room for the rounding of the float64 exact distances. If a row's
+    runner-up lies more than 2E above its winner, the winner is the exact
+    nearest reference; otherwise the exact nearest is among the references
+    within 2E of the winner.
+    """
+    info = np.finfo(dtype)
+    return np.float64(2 * (dim + 4) * (info.eps / 2 * scale ** 2
+                                       + info.smallest_subnormal * (1 + scale)))
+
+
+def _exact_nearest(queries: np.ndarray, references: np.ndarray, rows: np.ndarray,
+                   candidates: np.ndarray, winners: np.ndarray) -> np.ndarray:
+    """Per query row ``rows[i]``, the reference of least exact squared
+    distance among the ``True`` columns of ``candidates[i]``, the lowest index
+    among equal ones; ``winners[i]`` stays where no candidate has a finite
+    distance. Candidate pairs run in (row, reference) order, in chunks of
+    ``_CHUNK_CANDIDATES``; a later chunk's pick replaces a row's only when it is
+    strictly nearer."""
+    best = np.full(len(rows), np.inf)
+    picks = winners.copy()
+    flat = np.flatnonzero(candidates)
+    for start in range(0, len(flat), _CHUNK_CANDIDATES):
+        row, col = np.divmod(flat[start:start + _CHUNK_CANDIDATES], candidates.shape[1])
+        diff = np.take(references, col, axis=0)
+        diff -= np.take(queries, rows[row], axis=0)
+        exact = np.einsum("ij,ij->i", diff, diff)
+        # Sorted by row, then distance; the stable sort keeps columns
+        # ascending among equal distances, so each row's head is its pick.
+        order = np.lexsort((exact, row))
+        head = order[np.concatenate(([True], row[order[1:]] != row[order[:-1]]))]
+        row, exact, col = row[head], exact[head], col[head]
+        nearer = exact < best[row]
+        best[row[nearer]] = exact[nearer]
+        picks[row[nearer]] = col[nearer]
+    return picks
+
+
 def pairwise_feature_nn(queries: np.ndarray, references: np.ndarray,
                         block: int = 128) -> tuple[np.ndarray, np.ndarray]:
     """Exact nearest neighbor in feature space, in query blocks that bound
     memory and run on the worker pool.
 
-    Returns (distances, indices); ties resolve to the lowest reference index.
-    The expanded-form distance matrix carries ~1e-16 cancellation noise, so
-    near-tied winners are re-decided from exact distances, and the result
-    does not depend on ``block``. A block holds two (block, references)
-    float arrays at a time: the squared distances and the cross term.
+    Returns (distances, indices); ties resolve to the lowest reference index
+    and distances are exact float64. Candidates come from the expanded form
+    ``r2 - 2 q r^T`` in float32 (a row's ``q2`` does not change its order);
+    every row whose runner-up lies within ``_tie_band`` of its winner is
+    re-decided from exact float64 distances, so the result is the exact
+    nearest reference and does not depend on ``block``. Inputs whose squared
+    norms would overflow float32 run the same steps in float64. A block
+    holds one (block, references) float32 array, and for its near-tied rows
+    a boolean candidate mask.
     """
     q2 = np.einsum("ij,ij->i", queries, queries)
     r2 = np.einsum("ij,ij->i", references, references)
+    scale = np.sqrt(q2.max(initial=0.0)) + np.sqrt(r2.max(initial=0.0))
+    dtype = np.float32 if scale ** 2 <= np.finfo(np.float32).max / 2 else np.float64
+    band = _tie_band(queries.shape[1], scale, dtype)
+    r2_c, refs_c = r2.astype(dtype), references.astype(dtype, copy=False)
     best_idx = np.empty(queries.shape[0], dtype=np.intp)
 
     def nearest(start: int, stop: int) -> None:
-        # q2 + r2 - (2 q) @ r.T, in that order, with the cross term's buffer
-        # freed before the tie test.
-        d2 = np.add(q2[start:stop, None], r2[None, :])
-        cross = np.empty_like(d2)
-        np.matmul(2.0 * queries[start:stop], references.T, out=cross)
-        d2 -= cross
-        del cross
+        # (-2 q) @ r.T + r2: a row's q2 is the same for all its references,
+        # so it is left out of every comparison.
+        d2 = np.matmul(-2 * queries[start:stop].astype(dtype), refs_c.T)
+        d2 += r2_c
         rows = np.arange(stop - start)
         winners = d2.argmin(axis=1)
         floor = d2[rows, winners]
-        # A row is near-tied when its runner-up is within 1e-10 of the
+        # A row is near-tied when its runner-up is within the band of the
         # winner: hide the winner's cell, take the row minima, restore it.
         d2[rows, winners] = np.inf
         runner_up = d2.min(axis=1)
         d2[rows, winners] = floor
-        tied_rows = np.flatnonzero(runner_up <= floor + 1e-10)
-        for row in tied_rows:
-            cand = np.flatnonzero(d2[row] <= floor[row] + 1e-10)
-            diff = references[cand] - queries[start + row]
-            exact = np.einsum("ij,ij->i", diff, diff)
-            winners[row] = cand[np.lexsort((cand, exact))[0]]
+        tied = np.flatnonzero(runner_up.astype(np.float64) - floor <= band)
+        if tied.size:
+            # The limit is rounded up into the block's precision, so no
+            # reference within the band of the winner is left out.
+            limit = np.nextafter((floor[tied] + band).astype(dtype), dtype(np.inf))
+            candidates = d2[tied] <= limit[:, None]
+            del d2
+            winners[tied] = _exact_nearest(queries, references, start + tied,
+                                           candidates, winners[tied])
         best_idx[start:stop] = winners
 
     map_chunks(nearest, queries.shape[0], block)

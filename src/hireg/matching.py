@@ -4,13 +4,18 @@ Coarse correspondences come from mutual nearest-neighbor matching of
 high-level descriptors at sampled keypoints, made robust by RANSAC. Fine
 correspondences are mutual matches of low-level descriptors inside local
 cells around each coarse inlier pair; a score-ranked subset of them feeds a
-weighted SVD for the final transform.
+weighted SVD for the final transform. Only the cells read the target's
+low-level descriptors, so ``register`` computes them after RANSAC, for the
+union of the cells' members alone; each row has the bits of the
+whole-cloud row.
 
 RANSAC draws one minimal sample per iteration, in iteration order, and fits
 and scores ``_RANSAC_BLOCK`` of them at a time with stacked SVDs and one
 residual matrix. It then replays the best count and the early exit sample by
 sample, so its iterations, consensus set and transform are those of fitting
-one sample at a time.
+one sample at a time. The rotation checks of ``RigidTransform`` run
+stacked on each block, and the first fit that fails them in draw order
+raises its error.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .cloud import (
+    ROTATION_TOL,
     PointCloud,
     RigidTransform,
     SpatialIndex,
@@ -124,6 +130,17 @@ class RegistrationResult:
     target_keypoints: KeypointSet | None = None
 
 
+def _describe_high(cloud: PointCloud, params: DescriptorParams
+                   ) -> tuple[SpatialIndex, np.ndarray, DescriptorSet]:
+    """The index, the normals and the high-level descriptors of one cloud;
+    the index then memoises at most the low-radius graph."""
+    index = build_index(cloud)
+    normals = estimate_normals(cloud, params.normal_radius, index=index)
+    high = compute_descriptors(cloud, Level.HIGH, params, normals, index)
+    index.keep_graphs(params.low_radius)
+    return index, normals, high
+
+
 def describe_cloud(cloud: PointCloud, params: DescriptorParams
                    ) -> tuple[SpatialIndex, DescriptorSet, DescriptorSet]:
     """The index and the (low, high) descriptors of one cloud.
@@ -133,12 +150,8 @@ def describe_cloud(cloud: PointCloud, params: DescriptorParams
     ``local_cell_match``; the wide-field and normal graphs are released once
     the descriptors no longer need them.
     """
-    index = build_index(cloud)
-    normals = estimate_normals(cloud, params.normal_radius, index=index)
-    low = compute_descriptors(cloud, Level.LOW, params, normals, index)
-    high = compute_descriptors(cloud, Level.HIGH, params, normals, index)
-    index.keep_graphs(params.low_radius)
-    return index, low, high
+    index, normals, high = _describe_high(cloud, params)
+    return index, compute_descriptors(cloud, Level.LOW, params, normals, index), high
 
 
 def match_features(source_descriptors: DescriptorSet | np.ndarray,
@@ -264,6 +277,11 @@ def ransac_transform(source: PointCloud, target: PointCloud,
         rotations, translations, fitted = _rigid_fits(sample_src, tgt[picks], weights)
         # A sample that spans only a line is skipped, whatever its fit.
         fitted &= _not_collinear(sample_src)
+        # RigidTransform's own tests, stacked, with its tolerances.
+        proper = ((np.abs(rotations.transpose(0, 2, 1) @ rotations - np.eye(3))
+                   .max(axis=(1, 2)) <= ROTATION_TOL)
+                  & (np.abs(np.linalg.det(rotations) - 1.0) <= ROTATION_TOL)
+                  & np.isfinite(translations).all(axis=1))
         residuals = np.linalg.norm(src @ rotations.transpose(0, 2, 1)
                                    + translations[:, None, :] - tgt, axis=2)
         counts = (residuals <= threshold).sum(axis=1)
@@ -275,8 +293,10 @@ def ransac_transform(source: PointCloud, target: PointCloud,
             iterations += 1
             if not fitted[sample]:
                 continue
-            # A fit whose rotation is not proper raises here, in draw order.
-            RigidTransform(rotations[sample], translations[sample])
+            if not proper[sample]:
+                # RigidTransform raises its error for the first such fit in
+                # draw order.
+                RigidTransform(rotations[sample], translations[sample])
             count = int(counts[sample])
             if count > best_count:
                 best_count = count
@@ -313,7 +333,8 @@ def local_cell_match(source: PointCloud, target: PointCloud,
                      source_low: DescriptorSet, target_low: DescriptorSet,
                      cell_radius: float,
                      source_index: SpatialIndex | None = None,
-                     target_index: SpatialIndex | None = None) -> CorrespondenceSet:
+                     target_index: SpatialIndex | None = None,
+                     target_rows: np.ndarray | None = None) -> CorrespondenceSet:
     """Mutual low-level feature matches inside cells around a coarse pair.
 
     Cells are closed balls of ``cell_radius`` around the pair's endpoints,
@@ -322,6 +343,10 @@ def local_cell_match(source: PointCloud, target: PointCloud,
     the pairs it keeps. ``register`` passes the low-level radius, whose graph
     the descriptors already built; at a radius nothing else uses, the first
     call builds a whole-cloud graph at that radius.
+
+    ``target_rows`` names the target points that ``target_low`` describes,
+    ascending and row for row; ``None`` means every point. A target cell
+    member without a row is an error.
     """
     if not cell_radius > 0:
         raise ValidationError("cell_radius must be positive")
@@ -334,7 +359,15 @@ def local_cell_match(source: PointCloud, target: PointCloud,
         target_index = build_index(target)
     src_cell = source_index.neighbor_graph(cell_radius).row(src_anchor)
     tgt_cell = target_index.neighbor_graph(cell_radius).row(tgt_anchor)
-    local = match_features(source_low.vectors[src_cell], target_low.vectors[tgt_cell])
+    tgt_at = tgt_cell
+    if target_rows is not None:
+        tgt_at = np.searchsorted(target_rows, tgt_cell)
+        # A member past the last row is clipped onto it and then differs.
+        covered = len(target_rows) == len(target_low) > 0 and np.array_equal(
+            np.take(target_rows, tgt_at, mode="clip"), tgt_cell)
+        if not covered:
+            raise ValidationError("target_low has no row for some target cell member")
+    local = match_features(source_low.vectors[src_cell], target_low.vectors[tgt_at])
     pairs = np.column_stack([src_cell[local.pairs[:, 0]], tgt_cell[local.pairs[:, 1]]])
     return CorrespondenceSet(pairs, local.weights, Stage.FINE)
 
@@ -365,10 +398,13 @@ def register(source: PointCloud, target: PointCloud,
              config: "RunConfig | None" = None) -> RegistrationResult:
     """Full global-to-local registration of ``source`` onto ``target``.
 
-    Pipeline: dual-level descriptors -> detector scores -> high-level
-    keypoint sampling -> mutual feature matching -> RANSAC coarse transform
-    -> low-level matching in cells around coarse inliers -> score-ranked
-    subset -> weighted SVD. Deterministic given (inputs, config).
+    Pipeline: source descriptors at both levels, target descriptors at the
+    high level -> detector scores -> high-level keypoint sampling -> mutual
+    feature matching -> RANSAC coarse transform -> target low-level
+    descriptors of the cells' members -> low-level matching in cells around
+    coarse inliers -> score-ranked subset -> weighted SVD. Deterministic
+    given (inputs, config). ``timings_ms["fine_match_ms"]`` includes the
+    target's low-level descriptors.
     """
     if config is None:
         from .config import RunConfig
@@ -381,7 +417,9 @@ def register(source: PointCloud, target: PointCloud,
 
     tick = time.perf_counter()
     src_index, src_low, src_high = describe_cloud(source, config.descriptor)
-    tgt_index, tgt_low, tgt_high = describe_cloud(target, config.descriptor)
+    # Only the fine cells read the target's low level, so it is computed
+    # there, for the cells' members alone.
+    tgt_index, tgt_normals, tgt_high = _describe_high(target, config.descriptor)
     timings["descriptors_ms"] = (time.perf_counter() - tick) * 1e3
 
     tick = time.perf_counter()
@@ -422,12 +460,16 @@ def register(source: PointCloud, target: PointCloud,
     timings["ransac_ms"] = (time.perf_counter() - tick) * 1e3
 
     tick = time.perf_counter()
-    # A cell is the low-level receptive field: a row of the graph the low
-    # descriptors already built.
+    # A cell is the low-level receptive field: a row of the low-radius graph.
+    inliers = coarse.pairs[inlier_mask]
+    members = np.unique(tgt_index.neighbor_graph(config.descriptor.low_radius)
+                        .rows(inliers[:, 1]).indices)
+    tgt_low = compute_descriptors(target, Level.LOW, config.descriptor, tgt_normals,
+                                  tgt_index, centers=members)
     cells = [local_cell_match(source, target, (src_anchor, tgt_anchor), src_low, tgt_low,
-                              config.descriptor.low_radius,
-                              source_index=src_index, target_index=tgt_index).pairs
-             for src_anchor, tgt_anchor in coarse.pairs[inlier_mask]]
+                              config.descriptor.low_radius, source_index=src_index,
+                              target_index=tgt_index, target_rows=members).pairs
+             for src_anchor, tgt_anchor in inliers]
     # Overlapping cells repeat pairs; keep one of each, in (source, target) order.
     all_pairs = np.unique(np.concatenate(cells), axis=0) if cells \
         else np.empty((0, 2), dtype=np.intp)

@@ -16,6 +16,7 @@ from hireg import (
     score_overlap_heuristic,
     score_saliency,
 )
+from hireg import detectors
 from hireg.cloud import SpatialIndex
 from hireg.detectors import KeypointSet, ScoreSet, pairwise_feature_nn
 
@@ -65,8 +66,9 @@ def at_squared_distance(rng, query, d2):
 
 
 class TestFeatureNNTies:
-    """Rows whose runner-up lies within 1e-10 of the winner in the expanded
-    form are re-decided from exact distances; the rest keep the argmin."""
+    """Rows whose runner-up lies within the tie band of the winner in the
+    float32 expanded form are re-decided from exact distances; the rest keep
+    the argmin."""
 
     def _check(self, queries, references):
         want = brute_force_nn(queries, references)
@@ -95,7 +97,8 @@ class TestFeatureNNTies:
             references[2 * i] = at_squared_distance(rng, query, 0.01 + gap)
         idx = self._check(queries, references)
         assert np.array_equal(idx, 2 * np.arange(len(queries)) + 1)
-        # The runner-up lies inside the 1e-10 band, or outside it.
+        # The runner-up lies within 1e-10 of the winner, or beyond it; both
+        # lie well inside the float32 tie band.
         d2 = ((queries[:, None, :] - references[None, :, :]) ** 2).sum(axis=2)
         rows = np.arange(len(queries))
         assert np.all((d2[rows, 2 * rows] - d2[rows, 2 * rows + 1] <= 1e-10) == tied)
@@ -120,6 +123,93 @@ class TestFeatureNNTies:
         queries = np.vstack([references, unit_rows(rng, 150, 10)])
         idx = self._check(queries, references)
         assert not idx.any()
+
+    @pytest.mark.parametrize("norm", [1e3, 1e4])
+    def test_long_rows_follow_exact_distances(self, norm):
+        """Runner-ups within 4e-8 (norm / 1e3)^2 of the winner: a fixed
+        absolute band of 1e-10 would be narrower than the expanded form's
+        error at these norms and keep wrong winners; the band scales with
+        the norms."""
+        rng = np.random.default_rng(3)
+        queries = unit_rows(rng, 1000, 36) * norm
+        references = np.empty((2000, 36))
+        gaps = rng.uniform(0.0, 4e-8 * (norm / 1e3) ** 2, size=len(queries))
+        for i, query in enumerate(queries):
+            references[2 * i + 1] = at_squared_distance(rng, query, 0.01)
+            references[2 * i] = at_squared_distance(rng, query, 0.01 + gaps[i])
+        self._check(queries, references)
+
+    @staticmethod
+    def _redecided(monkeypatch) -> list:
+        """Query rows that ``pairwise_feature_nn`` re-decides from exact
+        distances, recorded from now on."""
+        rows = []
+        exact_nearest = detectors._exact_nearest
+
+        def spy(queries, references, tied, *args):
+            rows.extend(tied.tolist())
+            return exact_nearest(queries, references, tied, *args)
+
+        monkeypatch.setattr(detectors, "_exact_nearest", spy)
+        return rows
+
+    @pytest.mark.parametrize("dim", [36, 99])
+    @pytest.mark.parametrize("norm", [1.0, 3.0])
+    @pytest.mark.parametrize("fraction, tied", [(0.9, True), (1.1, False)])
+    def test_runner_up_at_the_band_edge(self, rng, monkeypatch, dim, norm, fraction, tied):
+        """The runner-up sits at ``fraction`` of the band above the winner,
+        at a lower index. A reference of norm 1.5 ``norm`` sets the largest
+        norms, so the band is 2 (D + 4) u (2.5 norm)^2."""
+        queries = unit_rows(rng, 40, dim) * norm
+        references = np.empty((2 * len(queries) + 1, dim))
+        references[-1] = unit_rows(rng, 1, dim)[0] * 1.5 * norm
+        band = detectors._tie_band(dim, 2.5 * norm, np.float32)
+        assert band == 2 * (dim + 4) * (2.0 ** -24 * (2.5 * norm) ** 2
+                                        + 2.0 ** -149 * (1 + 2.5 * norm))
+        for i, query in enumerate(queries):
+            references[2 * i + 1] = at_squared_distance(rng, query, 0.01 * norm ** 2)
+            references[2 * i] = at_squared_distance(rng, query, 0.01 * norm ** 2
+                                                    + fraction * band)
+        assert np.linalg.norm(references[:-1], axis=1).max() < 1.5 * norm
+        redecided = self._redecided(monkeypatch)
+        idx = self._check(queries, references)
+        assert np.array_equal(idx, 2 * np.arange(len(queries)) + 1)
+        expected = list(range(len(queries))) if tied else []
+        assert sorted(redecided) == sorted(2 * expected)  # once per block size
+
+    def test_zero_rows(self, rng, monkeypatch):
+        references = np.vstack([unit_rows(rng, 5, 12), np.zeros((3, 12)), unit_rows(rng, 5, 12),
+                                np.zeros((2, 12))])
+        queries = np.vstack([np.zeros((4, 12)), references[:5], unit_rows(rng, 20, 12)])
+        redecided = self._redecided(monkeypatch)
+        idx = self._check(queries, references)
+        assert list(idx[:4]) == [5, 5, 5, 5]
+        assert set(range(4)) <= set(redecided)
+        # With no nonzero row at all, every distance ties at zero.
+        assert not self._check(np.zeros((6, 12)), np.zeros((9, 12))).any()
+
+    @pytest.mark.parametrize("chunk", [7, 1 << 12])
+    def test_duplicate_heavy_block(self, rng, monkeypatch, chunk):
+        """Every query of a 128-row block is near-tied with 200 duplicate
+        references, so the re-decision runs in many candidate chunks and
+        must keep the lowest index across chunk boundaries."""
+        monkeypatch.setattr(detectors, "_CHUNK_CANDIDATES", chunk)
+        references = unit_rows(rng, 300, 20)
+        duplicates = np.sort(rng.choice(300, size=200, replace=False))
+        references[duplicates] = references[duplicates[0]]
+        queries = np.vstack([np.repeat(references[duplicates[:1]], 100, axis=0),
+                             references[duplicates[:1]] + 1e-9 * rng.normal(size=(28, 20))])
+        redecided = self._redecided(monkeypatch)
+        idx = self._check(queries, references)
+        assert (idx[:100] == duplicates[0]).all()
+        assert sorted(redecided) == sorted(2 * list(range(128)))
+
+    def test_squared_norms_beyond_float32_run_in_float64(self, rng):
+        queries = unit_rows(rng, 50, 8) * 1e20
+        references = np.vstack([queries[::2] + 1e4 * rng.normal(size=(25, 8)),
+                                unit_rows(rng, 30, 8) * 1e20])
+        idx = self._check(queries, references)
+        assert np.array_equal(idx[::2], np.arange(25))
 
 
 class TestScoreSaliency:

@@ -21,7 +21,9 @@ from hireg import (
     PointCloud,
     RansacParams,
     RigidTransform,
+    ValidationError,
 )
+from hireg import matching
 from hireg.cloud import transform_points
 from hireg.matching import _RANSAC_BLOCK, Stage, ransac_transform
 
@@ -50,8 +52,9 @@ def _ref_nondegenerate_sample(points):
     return s[0] > 0 and s[1] > 1e-9 * s[0]
 
 
-def _ref_ransac(source, target, correspondences, params, seed):
-    """The per-sample loop."""
+def _ref_ransac(source, target, correspondences, params, seed, bend=None):
+    """The per-sample loop. ``bend(iteration, sample)`` may return a function
+    that replaces the rotation fitted at that iteration (1-based)."""
     n_pairs = len(correspondences)
     src = source.points[correspondences.pairs[:, 0]]
     tgt = target.points[correspondences.pairs[:, 1]]
@@ -69,6 +72,9 @@ def _ref_ransac(source, target, correspondences, params, seed):
             model = _ref_weighted_svd(src[pick], tgt[pick], unit)
         except DegenerateGeometryError:
             continue
+        bent = bend and bend(iterations, src[pick])
+        if bent:
+            model = RigidTransform(bent(model.rotation), model.translation)
         residuals = np.linalg.norm(transform_points(src, model) - tgt, axis=1)
         mask = residuals <= params.inlier_threshold
         count = int(mask.sum())
@@ -184,3 +190,74 @@ def test_near_collinear_sample_is_skipped_though_its_fit_constrains_a_rotation()
                CorrespondenceSet(pairs, np.ones(3), Stage.COARSE))
     outcome = _assert_same(problem, RansacParams(max_iterations=40, inlier_threshold=10.0), 0)
     assert outcome[:2] == ("no consensus", 0) and outcome[-1] == 40
+
+
+def _reflect(rotation):
+    """Orthonormal, with determinant -1."""
+    return rotation @ np.diag([1.0, 1.0, -1.0])
+
+
+def _stretch(rotation):
+    """Not orthonormal."""
+    return rotation * (1.0 + 1e-6)
+
+
+def _bent_fits(monkeypatch, bend, sample_size: int) -> None:
+    """Make ``ransac_transform``'s stacked fits apply ``bend`` to the fit of
+    each sample, numbered in draw order; the final refit is left alone."""
+    fits, drawn = matching._rigid_fits, [0]
+
+    def bent_fits(source, target, weights):
+        rotations, translations, fitted = fits(source, target, weights)
+        if source.shape[1] == sample_size:
+            for i, sample in enumerate(source):
+                bent = bend(drawn[0] + i + 1, sample)
+                if bent:
+                    rotations[i] = bent(rotations[i])
+            drawn[0] += len(source)
+        return rotations, translations, fitted
+
+    monkeypatch.setattr(matching, "_rigid_fits", bent_fits)
+
+
+@pytest.mark.parametrize("bends, message", [
+    ({40: _reflect}, "determinant"),
+    ({40: _stretch, 45: _reflect}, "orthonormal"),
+    ({40: _reflect, 45: _stretch}, "determinant"),
+    ({3: _stretch, 70: _reflect}, "orthonormal"),
+])
+def test_improper_fit_raises_at_the_same_iteration(monkeypatch, bends, message):
+    """The first improper fit in draw order raises RigidTransform's error, as
+    it did when each fitted sample built a RigidTransform; two different
+    bends in one block tell which sample raised."""
+    problem = _problem(7, inliers=20, outliers=80)
+    params = RansacParams(max_iterations=3000)
+    assert _outcome(_ref_ransac, *problem, params, 7)[-1] > 100
+
+    def bend(iteration, sample):
+        return bends.get(iteration)
+
+    with pytest.raises(ValidationError, match=message) as want:
+        _ref_ransac(*problem, params, 7, bend=bend)
+    _bent_fits(monkeypatch, bend, params.sample_size)
+    with pytest.raises(ValidationError, match=message) as got:
+        ransac_transform(*problem, params, 7)
+    assert str(got.value) == str(want.value)
+
+
+def test_improper_fits_after_the_exit_or_of_a_line_never_raise(monkeypatch):
+    """Samples drawn into a block after its early exit are never checked,
+    and neither are samples that span only a line."""
+    problem = _problem(5, inliers=50, outliers=10, collinear_src=48)
+    params = RansacParams(max_iterations=400)
+    exit_at = _outcome(_ref_ransac, *problem, params, 2)[-1]
+    assert exit_at % _RANSAC_BLOCK != 0
+
+    def bend(iteration, sample):
+        spread = np.linalg.svd(sample - sample.mean(axis=0), compute_uv=False)
+        if iteration > exit_at or not spread[1] > 1e-9 * spread[0]:
+            return _reflect
+
+    _bent_fits(monkeypatch, bend, params.sample_size)
+    assert _outcome(ransac_transform, *problem, params, 2) \
+        == _outcome(_ref_ransac, *problem, params, 2, bend)
