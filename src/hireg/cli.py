@@ -11,9 +11,9 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -172,23 +172,32 @@ def cmd_bench(args) -> int:
 
     blocks: dict[int, list] = {}
     failures: list[dict] = []
+    ids = [entry.get("id", f"pair-{i}") for i, entry in enumerate(entries)]
     for count in samples:
-        jobs = [(entry, config, count, entry.get("id", f"pair-{i}"))
-                for i, entry in enumerate(entries)]
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_bench_pair, *job) for job in jobs]
-            calls = [future.result for future in futures]
-        else:  # serial: a failure aborts before the next pair runs
-            calls = [partial(_bench_pair, *job) for job in jobs]
-        rows = []
-        for job, call in zip(jobs, calls):
+        failed = threading.Event()
+
+        def run(entry: dict, pair_id: str):
+            # Pairs start in pair order, and none starts after a failure
+            # unless --keep-going: at most one pair per worker runs past it,
+            # and every cancelled pair comes after the failed one.
+            if failed.is_set() and not args.keep_going:
+                raise CancelledError
             try:
-                rows.append(call())
+                return _bench_pair(entry, config, count, pair_id)
+            except Exception:
+                failed.set()
+                raise
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(run, entry, pair_id) for entry, pair_id in zip(entries, ids)]
+        rows = []
+        for pair_id, future in zip(ids, futures):
+            try:
+                rows.append(future.result())
             except Exception as exc:
                 if not args.keep_going:
                     raise
-                failures.append({"pair": job[3], "samples": count,
+                failures.append({"pair": pair_id, "samples": count,
                                  "error": f"{type(exc).__name__}: {exc}"})
         blocks[count] = rows
         if not blocks[count]:

@@ -12,6 +12,10 @@ once the high-level descriptors are done, since matching reads no other.
 Distances are Euclidean, radii are meters, radius queries use closed balls
 (boundary points included).
 
+An index owns its cloud: a kernel given a cloud and an index reads every
+neighbourhood from the index, so ``index_for`` accepts only an index of that
+cloud's points and raises ``ValidationError`` for an index of other points.
+
 The descriptor and score kernels split their work into fixed-size chunks of
 rows and run them on one process-wide pool with a worker per CPU the process
 may run on (``taskset`` restricts that set). Each chunk writes rows of an
@@ -322,3 +326,13 @@ def build_index(cloud: PointCloud) -> SpatialIndex:
     if len(cloud) == 0:
         raise ValidationError("cannot build a spatial index over an empty cloud")
     return SpatialIndex(cloud, cKDTree(cloud.points))
+
+
+def index_for(cloud: PointCloud, index: SpatialIndex | None = None) -> SpatialIndex:
+    """``index`` when it describes the points of ``cloud``, a new index of
+    ``cloud`` when it is None; an index of other points is an error."""
+    if index is None:
+        return build_index(cloud)
+    if index.cloud is not cloud and not np.array_equal(index.cloud.points, cloud.points):
+        raise ValidationError("the spatial index describes other points than the cloud")
+    return index

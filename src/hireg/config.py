@@ -10,7 +10,7 @@ accepted for a float field.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import get_type_hints
 
@@ -95,16 +95,6 @@ class RunConfig:
         return _build(RunConfig, data, context="config")
 
 
-_SECTION_TYPES = {
-    "descriptor": DescriptorParams,
-    "sampling": SamplingRadii,
-    "detector": DetectorParams,
-    "ransac": RansacParams,
-    "matching": MatchingParams,
-    "metrics": MetricParams,
-}
-
-
 def _build(cls, data: dict, context: str):
     if not isinstance(data, dict):
         raise ValidationError(f"{context}: expected a mapping, got {type(data).__name__}")
@@ -115,9 +105,8 @@ def _build(cls, data: dict, context: str):
     types = get_type_hints(cls)
     kwargs = {}
     for key, value in data.items():
-        section = _SECTION_TYPES.get(key)
-        if section is not None and cls is RunConfig:
-            kwargs[key] = _build(section, value, context=f"{context}.{key}")
+        if is_dataclass(types[key]):
+            kwargs[key] = _build(types[key], value, context=f"{context}.{key}")
         else:
             kwargs[key] = _scalar(value, types[key], context=f"{context}.{key}")
     return cls(**kwargs)

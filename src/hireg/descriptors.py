@@ -20,8 +20,7 @@ from enum import Enum
 import numpy as np
 from scipy import sparse
 
-from .cloud import (NeighborGraph, PointCloud, SpatialIndex, build_index, map_chunks,
-                    _require_nonempty)
+from .cloud import NeighborGraph, PointCloud, SpatialIndex, index_for, map_chunks
 from .errors import ValidationError
 
 _UNIT_TOL = 1e-6
@@ -156,13 +155,10 @@ def estimate_normals(cloud: PointCloud, radius: float,
     the centroid-to-point direction. Points whose radius neighborhood holds
     fewer than 3 points (self included) get the flag value (0, 0, 0).
     """
-    _require_nonempty(cloud)
     if not radius > 0:
         raise ValidationError("radius must be positive")
-    if index is None:
-        index = build_index(cloud)
     pts = cloud.points
-    cov, counts = _neighborhood_covariances(pts, index.neighbor_graph(radius))
+    cov, counts = _neighborhood_covariances(pts, index_for(cloud, index).neighbor_graph(radius))
     _, vecs = np.linalg.eigh(cov)
     normals = vecs[:, :, 0].copy()
 
@@ -393,16 +389,14 @@ def compute_descriptors(cloud: PointCloud, level: Level, params: DescriptorParam
     """Per-point descriptor at the given level's receptive field.
 
     ``normals`` and ``index`` may be precomputed to share them across levels;
-    both default to fresh, deterministic computations. Points with no usable
-    neighborhood yield the zero vector. At the low level, ``centers`` (point
-    indices) limits the work to those points: row ``i`` of the result is
-    point ``centers[i]``'s descriptor, with the bits it has in the
-    whole-cloud result.
+    both default to fresh, deterministic computations, and an index of other
+    points is an error. Points with no usable neighborhood yield the zero
+    vector. At the low level, ``centers`` (point indices) limits the work to
+    those points: row ``i`` of the result is point ``centers[i]``'s
+    descriptor, with the bits it has in the whole-cloud result.
     """
-    _require_nonempty(cloud)
+    index = index_for(cloud, index)
     level = Level(level)
-    if index is None:
-        index = build_index(cloud)
     if normals is None:
         normals = estimate_normals(cloud, params.normal_radius, index=index)
     else:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cloud import PointCloud, SpatialIndex, map_chunks
+from .cloud import PointCloud, SpatialIndex, index_for, map_chunks
 from .descriptors import DescriptorSet, Level
 from .errors import DegenerateScoreError, ValidationError
 
@@ -188,7 +188,8 @@ def score_saliency(cloud: PointCloud, descriptors: DescriptorSet,
 
     The mean descriptor distance to the k nearest neighbors (self excluded)
     is normalized by its 95th percentile over the cloud and clamped to
-    [0, 1]; uniform regions score near zero, structure scores high.
+    [0, 1]; uniform regions score near zero, structure scores high. The two
+    levels of one cloud share ``index``'s memoised self k-NN query.
     """
     if k < 2:
         raise ValidationError("k must be >= 2")
@@ -198,11 +199,8 @@ def score_saliency(cloud: PointCloud, descriptors: DescriptorSet,
     if len(descriptors) != n:
         raise ValidationError("descriptors must match the cloud point-for-point")
 
-    # The two levels of one cloud share its memoised self query.
-    _, idx = (index.self_knn(k + 1) if cloud is index.cloud
-              else index.knn_batch(cloud.points, k + 1))
-    rows = np.arange(n)
-    self_hits = idx == rows[:, None]
+    _, idx = index_for(cloud, index).self_knn(k + 1)
+    self_hits = idx == np.arange(n)[:, None]
     drop = np.where(self_hits.any(axis=1), self_hits.argmax(axis=1), k)
     keep = np.arange(k + 1)[None, :] != drop[:, None]
     neighbors = idx[keep].reshape(n, k)

@@ -328,12 +328,10 @@ def ransac_transform(source: PointCloud, target: PointCloud,
     return refit, final_mask, iterations
 
 
-def local_cell_match(source: PointCloud, target: PointCloud,
+def local_cell_match(source_index: SpatialIndex, target_index: SpatialIndex,
                      coarse_pair: tuple[int, int],
                      source_low: DescriptorSet, target_low: DescriptorSet,
                      cell_radius: float,
-                     source_index: SpatialIndex | None = None,
-                     target_index: SpatialIndex | None = None,
                      target_rows: np.ndarray | None = None) -> CorrespondenceSet:
     """Mutual low-level feature matches inside cells around a coarse pair.
 
@@ -346,17 +344,17 @@ def local_cell_match(source: PointCloud, target: PointCloud,
 
     ``target_rows`` names the target points that ``target_low`` describes,
     ascending and row for row; ``None`` means every point. A target cell
-    member without a row is an error.
+    member without a row is an error, and so is a ``source_low`` without one
+    row per indexed source point.
     """
     if not cell_radius > 0:
         raise ValidationError("cell_radius must be positive")
+    n_src, n_tgt = len(source_index.cloud), len(target_index.cloud)
+    if len(source_low) != n_src or (target_rows is None and len(target_low) != n_tgt):
+        raise ValidationError("low-level descriptors must match their indexed clouds")
     src_anchor, tgt_anchor = int(coarse_pair[0]), int(coarse_pair[1])
-    if not (0 <= src_anchor < len(source) and 0 <= tgt_anchor < len(target)):
+    if not (0 <= src_anchor < n_src and 0 <= tgt_anchor < n_tgt):
         raise ValidationError(f"coarse pair {coarse_pair} indexes outside the clouds")
-    if source_index is None:
-        source_index = build_index(source)
-    if target_index is None:
-        target_index = build_index(target)
     src_cell = source_index.neighbor_graph(cell_radius).row(src_anchor)
     tgt_cell = target_index.neighbor_graph(cell_radius).row(tgt_anchor)
     tgt_at = tgt_cell
@@ -466,9 +464,8 @@ def register(source: PointCloud, target: PointCloud,
                         .rows(inliers[:, 1]).indices)
     tgt_low = compute_descriptors(target, Level.LOW, config.descriptor, tgt_normals,
                                   tgt_index, centers=members)
-    cells = [local_cell_match(source, target, (src_anchor, tgt_anchor), src_low, tgt_low,
-                              config.descriptor.low_radius, source_index=src_index,
-                              target_index=tgt_index, target_rows=members).pairs
+    cells = [local_cell_match(src_index, tgt_index, (src_anchor, tgt_anchor), src_low, tgt_low,
+                              config.descriptor.low_radius, target_rows=members).pairs
              for src_anchor, tgt_anchor in inliers]
     # Overlapping cells repeat pairs; keep one of each, in (source, target) order.
     all_pairs = np.unique(np.concatenate(cells), axis=0) if cells \

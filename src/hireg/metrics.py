@@ -122,10 +122,6 @@ def evaluate_pair(pair_id: str, estimated: RigidTransform, ground_truth: RigidTr
     )
 
 
-_AGGREGATE_KEYS = ("RR", "mean RRE (deg)", "median RRE (deg)", "mean RTE (m)",
-                   "median RTE (m)", "mean IR", "FMR", "mean Rep")
-
-
 def aggregate(evaluations: list[PairEvaluation]) -> dict[str, float]:
     """Summary row over pair evaluations.
 
@@ -195,7 +191,8 @@ class BenchmarkReport:
         width = 12
         header = "metric".ljust(20) + "".join(str(c).rjust(width) for c in counts)
         lines = [header, "-" * len(header)]
-        for key in _AGGREGATE_KEYS:
+        # Every aggregate holds the same keys, in the order ``aggregate`` builds.
+        for key in next(iter(aggs.values()), ()):
             row = key.ljust(20)
             row += "".join(f"{aggs[c][key]:{width}.4f}" for c in counts)
             lines.append(row)

@@ -88,15 +88,15 @@ def test_cell_reads_rows_of_a_subset(dense):
     anchor = int(graph.counts.argmax())
     members = graph.row(anchor)
     subset = compute_descriptors(pc, Level.LOW, params, normals, index, centers=members)
-    want = local_cell_match(pc, pc, (anchor, anchor), low, low, params.low_radius, index, index)
-    got = local_cell_match(pc, pc, (anchor, anchor), low, subset, params.low_radius, index,
-                           index, target_rows=members)
+    want = local_cell_match(index, index, (anchor, anchor), low, low, params.low_radius)
+    got = local_cell_match(index, index, (anchor, anchor), low, subset, params.low_radius,
+                           target_rows=members)
     assert np.array_equal(got.pairs, want.pairs)
     # A cell member without a row is an error, not a row of another point.
     short = compute_descriptors(pc, Level.LOW, params, normals, index, centers=members[1:])
     with pytest.raises(ValidationError, match="no row"):
-        local_cell_match(pc, pc, (anchor, anchor), low, short, params.low_radius, index,
-                         index, target_rows=members[1:])
+        local_cell_match(index, index, (anchor, anchor), low, short, params.low_radius,
+                         target_rows=members[1:])
 
 
 def test_register_computes_target_low_only_for_cell_members(monkeypatch):

@@ -17,6 +17,7 @@ from hireg import (
     RigidTransform,
     RunConfig,
     SceneSpec,
+    ValidationError,
     build_sample_batch,
     describe_cloud,
     generate_scene,
@@ -24,7 +25,7 @@ from hireg import (
     matchability_labels,
     register,
 )
-from hireg import io
+from hireg import cli, io
 from hireg.cli import _fd_gradient, main
 
 SRC_ROOT = str(Path(__file__).resolve().parent.parent / "src")
@@ -411,8 +412,7 @@ class TestBenchCommand:
         spec.write_text(json.dumps({"pairs": []}))
         assert main(["bench", "--spec", str(spec)]) == 1
 
-    # The threaded and the serial path share one failure accounting; each
-    # test runs both.
+    # Each failure test runs one worker and two.
     def test_keep_going_records_failures(self, tmp_path, monkeypatch):
         pairs = [{"id": "good",
                   "scene": {"shape": "room", "n_points": 700, "overlap": 0.9,
@@ -444,6 +444,26 @@ class TestBenchCommand:
             assert main(["bench", "--spec", str(spec), "--samples", "60",
                          "--out", str(out)]) == 1, threads
             assert not out.exists()
+
+    def test_failure_without_keep_going_cancels_pairs_not_started(self, tmp_path, monkeypatch,
+                                                                  capsys):
+        spec = tmp_path / "bench.json"
+        spec.write_text(json.dumps({"pairs": [{"id": f"p{i}", "scene": {}} for i in range(12)]}))
+        for threads in (1, 2):
+            started = []
+
+            def broken(entry, config, samples, pair_id):
+                started.append(pair_id)
+                raise ValidationError(f"pair {pair_id}: broken")
+
+            monkeypatch.setattr(cli, "_bench_pair", broken)
+            monkeypatch.setenv("HIREG_THREADS", str(threads))
+            assert main(["bench", "--spec", str(spec), "--samples", "60"]) == 1
+            # Every pair fails at once, so no pair starts after the first
+            # failure: only those already taken by the other workers ran.
+            assert 1 <= len(started) <= threads, threads
+            assert sorted(started) == [f"p{i}" for i in range(len(started))]
+            assert capsys.readouterr().err.startswith("error: pair p0: broken")
 
     @pytest.mark.parametrize("entry", [
         {"id": "typo", "scene": {"shape": "room", "n_point": 700}},

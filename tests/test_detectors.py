@@ -177,6 +177,42 @@ class TestFeatureNNTies:
         expected = list(range(len(queries))) if tied else []
         assert sorted(redecided) == sorted(2 * expected)  # once per block size
 
+    @pytest.mark.parametrize("lattice, signs", [
+        (([2081, 2115], [4126, -35], [-69, 4160]), ([1, -1], [1, -1], [-1, -1])),
+        (([-2062, -2126], [55, -4198], [-4134, -9]), ([1, -1], [1, -1], [1, -1])),
+        (([2115, 2099], [-5, 4192], [4208, -21]), ([-1, 1], [1, 1], [-1, -1])),
+    ])
+    def test_float32_errors_that_add_up(self, monkeypatch, lattice, signs):
+        """A query and two references on the circle through the origin
+        around it, so their expanded forms nearly cancel. Each coordinate
+        lies 0.999 of half a float32 ulp from a float32 of at most 12
+        significant bits (the lattice point times 2^-11), on the given side.
+        So every float32 product is exact and the dot product rounds once,
+        in any summation order, and the sides are chosen so that the errors
+        of the two references add up: the exact winner, reference 0, lies
+        above the float32 winner by more than a candidate limit of floor +
+        band / 8 would keep, and inside the band. On such inputs the error
+        found stays below band / 4."""
+        def rows(points, sides):
+            v = np.asarray(points, dtype=np.float64) * 2.0 ** -11
+            return v + np.asarray(sides) * 0.999 * np.ldexp(1.0, np.frexp(v)[1] - 25)
+
+        query = rows(lattice[:1], signs[:1])
+        references = rows(lattice[1:], signs[1:])
+        assert np.array_equal(references.astype(np.float32),
+                              np.asarray(lattice[1:]) * 2.0 ** -11)
+        # The expanded form as ``pairwise_feature_nn`` evaluates it.
+        r2 = np.einsum("ij,ij->i", references, references)
+        d2 = (-2 * query.astype(np.float32)) @ references.astype(np.float32).T
+        d2 = (d2 + r2.astype(np.float32))[0]
+        scale = np.linalg.norm(query) + np.linalg.norm(references, axis=1).max()
+        band = detectors._tie_band(2, scale, np.float32)
+        narrow = np.nextafter(np.float32(d2[1] + band / 8), np.float32(np.inf))
+        assert narrow < d2[0] and d2[0] - np.float64(d2[1]) <= band
+        redecided = self._redecided(monkeypatch)
+        assert list(self._check(query, references)) == [0]
+        assert redecided == [0, 0]  # once per block size
+
     def test_zero_rows(self, rng, monkeypatch):
         references = np.vstack([unit_rows(rng, 5, 12), np.zeros((3, 12)), unit_rows(rng, 5, 12),
                                 np.zeros((2, 12))])
@@ -262,9 +298,8 @@ class TestScoreSaliency:
         params = DescriptorParams()
         levels = [compute_descriptors(cloud, level, params, index=index)
                   for level in (Level.LOW, Level.HIGH)]
-        # An equal but distinct cloud is queried afresh, as any other cloud.
-        fresh = [score_saliency(PointCloud(cloud.points), descs, index, k=6)
-                 for descs in levels]
+        copy = PointCloud(cloud.points)
+        fresh = [score_saliency(copy, descs, build_index(copy), k=6) for descs in levels]
         queries = []
         knn_batch = SpatialIndex.knn_batch
 
@@ -273,9 +308,11 @@ class TestScoreSaliency:
             return knn_batch(self, centers, k)
 
         monkeypatch.setattr(SpatialIndex, "knn_batch", counted)
-        for descs, expected in zip(levels, fresh):
-            scores = score_saliency(cloud, descs, index, k=6)
-            assert scores.dtype == expected.dtype and np.array_equal(scores, expected)
+        # An equal but distinct cloud shares the index's one memoised query.
+        for scored in (cloud, copy):
+            for descs, expected in zip(levels, fresh):
+                scores = score_saliency(scored, descs, index, k=6)
+                assert scores.dtype == expected.dtype and np.array_equal(scores, expected)
         assert queries == [7]
 
     def test_cloud_too_small_rejected(self, rng):

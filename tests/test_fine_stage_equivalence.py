@@ -153,8 +153,8 @@ def test_overlapping_cells_and_fine_cap_match_reference():
 
     src_index, tgt_index = ref["indices"]["src"], ref["indices"]["tgt"]
     for pair, (want_pairs, _) in zip(ref["inliers"], ref["cells"], strict=True):
-        got = local_cell_match(scene.source, scene.target, (pair[0], pair[1]),
+        got = local_cell_match(src_index, tgt_index, (pair[0], pair[1]),
                                ref["descs"]["src", Level.LOW], ref["descs"]["tgt", Level.LOW],
-                               0.25, source_index=src_index, target_index=tgt_index)
+                               0.25)
         assert np.array_equal(got.pairs, want_pairs)
         assert np.array_equal(got.weights, np.ones(len(want_pairs)))

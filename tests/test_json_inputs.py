@@ -11,14 +11,14 @@ are accepted.
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
+from typing import get_type_hints
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hireg import RunConfig, SceneSpec, ValidationError
 from hireg.cli import _parse_bench_spec
-from hireg.config import _SECTION_TYPES
 
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
@@ -39,10 +39,10 @@ def _document(cls):
     type and near its domain, else any JSON."""
     typed = {int: st.integers(-2, 3000), float: st.floats(-1.0, 2.0),
              str: st.sampled_from(["min", "mean", "max"])}
-    default = cls()
+    default, types = cls(), get_type_hints(cls)
     return st.fixed_dictionaries({}, optional={
-        f.name: (_document(_SECTION_TYPES[f.name]) if cls is RunConfig
-                 and f.name in _SECTION_TYPES else typed[type(getattr(default, f.name))]) | JSON
+        f.name: (_document(types[f.name]) if is_dataclass(types[f.name])
+                 else typed[type(getattr(default, f.name))]) | JSON
         for f in fields(cls)})
 
 

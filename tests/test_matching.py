@@ -269,7 +269,8 @@ class TestLocalCellMatch:
         target = PointCloud(np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]]))
         vec = np.eye(2)
         descs = DescriptorSet(Level.LOW, vec)
-        fine = local_cell_match(source, target, (0, 0), descs, descs, cell_radius=0.5)
+        fine = local_cell_match(build_index(source), build_index(target), (0, 0), descs, descs,
+                                cell_radius=0.5)
         assert fine.pairs.tolist() == [[0, 0]]
 
     def test_duplicated_patch_reproduces_bijection(self, rng):
@@ -277,7 +278,8 @@ class TestLocalCellMatch:
         descs = DescriptorSet(Level.LOW, unit_rows(rng, 12, 8))
         source = PointCloud(patch)
         target = PointCloud(patch.copy())
-        fine = local_cell_match(source, target, (0, 0), descs, descs, cell_radius=0.5)
+        fine = local_cell_match(build_index(source), build_index(target), (0, 0), descs, descs,
+                                cell_radius=0.5)
         assert len(fine) == 12
         assert fine.pairs[:, 0].tolist() == fine.pairs[:, 1].tolist()
 
@@ -287,7 +289,8 @@ class TestLocalCellMatch:
         src_descs = DescriptorSet(Level.LOW, unit_rows(rng, 50, 6))
         tgt_descs = DescriptorSet(Level.LOW, unit_rows(rng, 60, 6))
         radius = 0.15
-        fine = local_cell_match(source, target, (4, 7), src_descs, tgt_descs, radius)
+        fine = local_cell_match(build_index(source), build_index(target), (4, 7), src_descs,
+                                tgt_descs, radius)
 
         src_cell = [i for i in range(50)
                     if math.dist(source.points[i], source.points[4]) <= radius]
@@ -309,14 +312,15 @@ class TestLocalCellMatch:
         target = PointCloud(np.array([[5.0, 5.0, 5.0]]))
         descs_s = DescriptorSet(Level.LOW, unit_rows(rng, 2, 4))
         descs_t = DescriptorSet(Level.LOW, unit_rows(rng, 1, 4))
-        fine = local_cell_match(source, target, (0, 0), descs_s, descs_t, cell_radius=0.1)
+        fine = local_cell_match(build_index(source), build_index(target), (0, 0), descs_s,
+                                descs_t, cell_radius=0.1)
         assert fine.pairs.tolist() == [[0, 0]]
 
     def test_bad_radius_rejected(self, rng):
-        source = PointCloud(np.zeros((1, 3)))
+        index = build_index(PointCloud(np.zeros((1, 3))))
         descs = DescriptorSet(Level.LOW, unit_rows(rng, 1, 4))
         with pytest.raises(ValidationError):
-            local_cell_match(source, source, (0, 0), descs, descs, cell_radius=0.0)
+            local_cell_match(index, index, (0, 0), descs, descs, cell_radius=0.0)
 
     @pytest.mark.parametrize("pair", [(2, 0), (0, 1), (-1, 0), (0, -1)])
     def test_anchor_outside_cloud_rejected(self, rng, pair):
@@ -325,7 +329,8 @@ class TestLocalCellMatch:
         descs_s = DescriptorSet(Level.LOW, unit_rows(rng, 2, 4))
         descs_t = DescriptorSet(Level.LOW, unit_rows(rng, 1, 4))
         with pytest.raises(ValidationError, match="outside the clouds"):
-            local_cell_match(source, target, pair, descs_s, descs_t, cell_radius=0.1)
+            local_cell_match(build_index(source), build_index(target), pair, descs_s, descs_t,
+                             cell_radius=0.1)
 
 
 class TestSelectFineSubset:
@@ -405,8 +410,7 @@ class TestDescribeCloud:
         # Fine cells are rows of the kept graph: no new kd-tree query.
         tree = count_tree_queries(index)
         for anchor in (0, 700, len(cloud) - 1):
-            local_cell_match(cloud, cloud, (anchor, anchor), low, low, params.low_radius,
-                             source_index=index, target_index=index)
+            local_cell_match(index, index, (anchor, anchor), low, low, params.low_radius)
         assert tree.queries == 0
 
     @pytest.mark.parametrize("name", list(_DESCRIBE_PARAMS))
