@@ -10,7 +10,8 @@ released graph stays valid for whoever holds it, and a later query at its
 radius builds it again. ``describe_cloud`` keeps only the low-radius graph
 once the high-level descriptors are done, since matching reads no other.
 Distances are Euclidean, radii are meters, radius queries use closed balls
-(boundary points included).
+(boundary points included). A graph keeps no distances: ``member_distances``
+gives the bits its closed-ball test compared, which the low rings read.
 
 An index owns its cloud: a kernel given a cloud and an index reads every
 neighbourhood from the index, so ``index_for`` accepts only an index of that
@@ -184,15 +185,24 @@ def invert(transform: RigidTransform) -> RigidTransform:
     return RigidTransform(rot_t, -(rot_t @ transform.translation))
 
 
+def member_distances(points: np.ndarray, centers: np.ndarray, members: np.ndarray,
+                     owners: np.ndarray) -> np.ndarray:
+    """Distance of ``points[members[k]]`` from ``centers[owners[k]]`` for every
+    k. Balls compare it in sqrt space, so the ``np.linalg.norm`` distance of
+    a k-th neighbour that a caller computes lands inside its own ball."""
+    diff = np.take(points, members, axis=0)
+    diff -= np.take(centers, owners, axis=0)
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
 @dataclass(frozen=True)
 class NeighborGraph:
     """Closed-ball neighbourhoods in CSR form: row ``i`` is
-    ``indices[offsets[i]:offsets[i + 1]]`` in ascending point order, with each
-    member's distance from centre ``i`` in ``distances``."""
+    ``indices[offsets[i]:offsets[i + 1]]`` in ascending point order; a
+    member's distance from its centre comes from ``member_distances``."""
 
     offsets: np.ndarray
     indices: np.ndarray
-    distances: np.ndarray
 
     @property
     def counts(self) -> np.ndarray:
@@ -209,7 +219,7 @@ class NeighborGraph:
         np.cumsum(counts, out=offsets[1:])
         pos = np.repeat(self.offsets[ids] - offsets[:-1], counts)
         pos += np.arange(offsets[-1])
-        return NeighborGraph(offsets, np.take(self.indices, pos), np.take(self.distances, pos))
+        return NeighborGraph(offsets, np.take(self.indices, pos))
 
 
 @dataclass(frozen=True)
@@ -229,24 +239,19 @@ class SpatialIndex:
         """Exact closed balls from kd-tree candidate keys ``row * n + point``.
 
         ``keys`` is sorted in place and becomes the graph's indices, so the
-        build holds about three arrays of the candidates' length: the keys,
-        their distances and, only if any candidate lies outside its ball,
-        one copy without those.
+        build holds the keys, one byte per candidate for the closed-ball
+        test and, only if any candidate lies outside its ball, one copy of
+        the keys without those.
         """
         n = len(self.cloud)
         keys.sort()
         offsets = np.searchsorted(keys, np.arange(len(centers) + 1, dtype=np.intp) * n)
-        dist = np.empty(len(keys))
         outside = np.empty(len(keys), dtype=bool)
 
         def measure(start: int, stop: int) -> None:
             rows, cols = np.divmod(keys[start:stop], n)
-            diff = np.take(self.cloud.points, cols, axis=0)
-            diff -= np.take(centers, rows, axis=0)
-            # Compare in sqrt space so "distance of the k-th neighbor" computed
-            # by callers via np.linalg.norm lands inside its own closed ball.
-            dist[start:stop] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            np.greater(dist[start:stop], radius, out=outside[start:stop])
+            np.greater(member_distances(self.cloud.points, centers, cols, rows), radius,
+                       out=outside[start:stop])
             keys[start:stop] = cols
 
         map_chunks(measure, len(keys), _CHUNK_KEYS)
@@ -254,8 +259,8 @@ class SpatialIndex:
         if len(dropped):
             # A row loses the candidates dropped before its start.
             offsets -= np.searchsorted(dropped, offsets)
-            keys, dist = np.delete(keys, dropped), np.delete(dist, dropped)
-        return NeighborGraph(offsets, keys, dist)
+            keys = np.delete(keys, dropped)
+        return NeighborGraph(offsets, keys)
 
     def neighbor_graph(self, radius: float) -> NeighborGraph:
         """Closed-ball neighbourhood of every indexed point, memoised per radius."""
@@ -274,7 +279,7 @@ class SpatialIndex:
             del pairs, i, j
             np.multiply(np.arange(n, dtype=np.intp), n + 1, out=keys[2 * p:])
             graph = self._graph(self.cloud.points, keys, radius)
-            for array in (graph.offsets, graph.indices, graph.distances):
+            for array in (graph.offsets, graph.indices):
                 array.setflags(write=False)
             self._graphs[radius] = graph
         return graph
@@ -290,8 +295,7 @@ class SpatialIndex:
         per centre; not memoised."""
         centers = np.asarray(centers, dtype=np.float64)
         if len(centers) == 0:
-            return NeighborGraph(np.zeros(1, dtype=np.intp), np.empty(0, dtype=np.intp),
-                                 np.empty(0))
+            return NeighborGraph(np.zeros(1, dtype=np.intp), np.empty(0, dtype=np.intp))
         found = cKDTree(centers).sparse_distance_matrix(
             self._tree, radius * _BALL_SLACK, output_type="ndarray")
         keys = np.multiply(found["i"], len(self.cloud), dtype=np.intp)

@@ -20,7 +20,8 @@ from enum import Enum
 import numpy as np
 from scipy import sparse
 
-from .cloud import NeighborGraph, PointCloud, SpatialIndex, index_for, map_chunks
+from .cloud import (NeighborGraph, PointCloud, SpatialIndex, index_for, map_chunks,
+                    member_distances)
 from .errors import ValidationError
 
 _UNIT_TOL = 1e-6
@@ -288,8 +289,8 @@ def _pair_bins(points: np.ndarray, normals: np.ndarray, src: np.ndarray, dst: np
 
 
 def _angular_histograms(points: np.ndarray, normals: np.ndarray, graph: NeighborGraph,
-                        bins: int, full_pairs: bool, rings: int = 1,
-                        radius: float = 1.0) -> np.ndarray:
+                        bins: int, full_pairs: bool, rings: int = 1, radius: float = 1.0,
+                        centers: np.ndarray | None = None) -> np.ndarray:
     """Histogram of (alpha, phi, theta) pair angles per row of ``graph``.
 
     ``full_pairs`` histograms every ordered pair inside the neighborhood
@@ -303,9 +304,9 @@ def _angular_histograms(points: np.ndarray, normals: np.ndarray, graph: Neighbor
     ``_CHUNK_TRIPLES`` (center, a, b) triples unless one centre has more.
 
     With ``full_pairs`` the graph may hold the rows of some centres only
-    (``NeighborGraph.rows``): the shared pairs are then those of these rows,
-    and each row has the bits of the whole graph's row, since its bins sum
-    the same votes in the same (center, a, b) order.
+    (``NeighborGraph.rows`` of points ``centers``): the shared pairs are then
+    those of these rows, and each row has the bits of the whole graph's row,
+    since its bins sum the same votes in the same (center, a, b) order.
     """
     n, width = points.shape[0], 3 * bins * rings
     n_rows = len(graph.offsets) - 1
@@ -352,8 +353,13 @@ def _angular_histograms(points: np.ndarray, normals: np.ndarray, graph: Neighbor
             pair_cols, pair_right = _pair_bins(points_t, normals_t, center,
                                                graph.indices[pos_b], bins)
             slot = None
-        ring = 0 if rings == 1 else np.minimum(
-            (graph.distances[pos_b] / radius * rings).astype(np.intp), rings - 1)
+        ring = 0
+        if rings > 1:  # from the distances of the chunk's members
+            first = graph.offsets[start]
+            owners = np.arange(start, stop) if centers is None else centers[start:stop]
+            dist = member_distances(points, points, graph.indices[first:graph.offsets[stop]],
+                                    np.repeat(owners, graph.counts[start:stop]))
+            ring = np.minimum((dist[pos_b - first] / radius * rings).astype(np.intp), rings - 1)
         row_base = ((center - start) * rings + ring) * block
         del center, pos_b, ring
         # Bins and masses of all pairs, left and right of each angle in turn.
@@ -415,7 +421,7 @@ def compute_descriptors(cloud: PointCloud, level: Level, params: DescriptorParam
         graph = graph.rows(centers)
     features = _angular_histograms(cloud.points, normals, graph, params.bins, full_pairs=low,
                                    rings=params.low_rings if low else 1,
-                                   radius=params.radius(level))
+                                   radius=params.radius(level), centers=centers)
 
     if level == Level.HIGH:
         cov, counts = _neighborhood_covariances(cloud.points, graph)

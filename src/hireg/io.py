@@ -112,6 +112,8 @@ def load_ply(path) -> PointCloud:
             raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     if len(rows) != count:
         raise ValidationError(f"{path}: expected {count} vertices, found {len(rows)}")
+    if not rows:
+        raise ValidationError(f"{path}: no points found")
     return PointCloud(np.asarray(rows), cloud_id=Path(path).stem)
 
 

@@ -482,6 +482,9 @@ def register(source: PointCloud, target: PointCloud,
     if len(fine) < 3:
         raise _stage_error(DegenerateGeometryError(
             f"only {len(fine)} fine correspondences"), Stage.FINE)
+    if not fine.weights.any():
+        raise _stage_error(DegenerateGeometryError(
+            f"all {len(fine)} fine correspondences have zero weight"), Stage.FINE)
     try:
         transform = weighted_svd(source.points[fine.pairs[:, 0]],
                                  target.points[fine.pairs[:, 1]], fine.weights)

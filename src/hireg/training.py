@@ -27,22 +27,21 @@ weight matrix per sample kind, with rows for anchors and columns for target
 points: sparse for flat rows, and for the tile a dense matrix that counts a
 repeated cell once per occurrence.
 
-The passes run on the shared worker pool (``cloud.map_chunks``) in fixed
-pieces, so no result depends on the worker count: flat distances in fixed
-ranges of rows, each range with its own buffers and the same inner chunks,
-and the global-negative tile in blocks of ``_TILE_SLOTS`` anchor rows. One
+Flat distances run on the calling thread in chunks of ``_CHUNK_ROWS`` rows:
+a 256-anchor step sends them a few thousand rows. The global-negative tile
+runs on the shared worker pool (``cloud.map_chunks``) in blocks of
+``_TILE_SLOTS`` anchor rows, so no result depends on the worker count. One
 block pass checks the block's sets and fills its tile rows. The loss's block
 pass takes the exponentials, each slot's sum and the block's rows of the
 weight tile, which need no other slot's sums. What mixes anchors stays
 whole on the calling thread: the anchor-order loss total, the weight tile's
 column sums and its two BLAS products. So do the labels' per-slot minima,
 whose gathers hold the interpreter lock and ran slower on the pool. A batch
-keeps the layouts, with their distances, of each (source
-``DescriptorSet``, target ``DescriptorSet``, negative mode) it has seen for
-its lifetime, so ``circle_loss`` and ``matchability_labels`` on the same
-sets share one pass: about 7 MB per global-negative tile at 256 anchors on
-5k points. Raw arrays are never memoised, as a caller may change them in
-place.
+keeps the layouts, with their distances, of each (source ``DescriptorSet``,
+target ``DescriptorSet``, negative mode) it has seen for its lifetime, so
+``circle_loss`` and ``matchability_labels`` on the same sets share one
+pass: about 7 MB per global-negative tile at 256 anchors on 5k points. Raw
+arrays are never memoised, as a caller may change them in place.
 """
 
 from __future__ import annotations
@@ -62,11 +61,8 @@ from .errors import (
 )
 
 _CLAMP = 1e-7
-# Rows of the flattened (anchor, target) layout whose feature differences
-# are held at once; two such buffers stay in cache during a distance pass.
+# Flat (anchor, target) rows whose feature differences a distance pass holds at once.
 _CHUNK_ROWS = 1024
-# Rows of one pool task in a distance pass, a whole number of chunks.
-_RANGE_ROWS = 64 * _CHUNK_ROWS
 # Anchor rows of one pool task in a tile distance pass.
 _TILE_SLOTS = 8
 
@@ -295,24 +291,12 @@ class _FlatSets:
     def distances(self, f_anchor: np.ndarray, f_tgt: np.ndarray) -> np.ndarray:
         """Exact feature distance of every row, ``f_anchor`` indexed by slot."""
         dist = np.empty(len(self.targets))
-
-        def measure(start: int, stop: int) -> None:
-            diff = np.empty((min(stop - start, _CHUNK_ROWS), f_tgt.shape[1]))
-            other = np.empty_like(diff)
-            for lo in range(start, stop, _CHUNK_ROWS):
-                hi = min(lo + _CHUNK_ROWS, stop)
-                a, t = diff[:hi - lo], other[:hi - lo]
-                # Indices are in range by construction; "clip" lets take
-                # write into the buffer directly.
-                np.take(f_anchor, self.slots[lo:hi], axis=0, out=a, mode="clip")
-                np.take(f_tgt, self.targets[lo:hi], axis=0, out=t, mode="clip")
-                np.subtract(a, t, out=a)
-                np.multiply(a, a, out=a)
-                np.add.reduce(a, axis=1, out=dist[lo:hi])
-            np.sqrt(dist[start:stop], out=dist[start:stop])
-
-        map_chunks(measure, len(dist), _RANGE_ROWS)
-        return dist
+        for lo in range(0, len(dist), _CHUNK_ROWS):
+            rows = slice(lo, lo + _CHUNK_ROWS)
+            diff = np.take(f_anchor, self.slots[rows], axis=0)
+            diff -= np.take(f_tgt, self.targets[rows], axis=0)
+            np.add.reduce(diff * diff, axis=1, out=dist[rows])
+        return np.sqrt(dist, out=dist)
 
     def sums(self, values: np.ndarray) -> np.ndarray:
         """Pairwise ``.sum()`` of each slot's slice of ``values``."""

@@ -48,7 +48,7 @@ from hireg.matching import Stage
 from hireg.metrics import PairEvaluation
 from hireg import io
 
-from conftest import axis_angle_rotation, random_transform
+from conftest import axis_angle_rotation, random_transform, scalar_circle_loss, unit_rows
 
 
 def report(number: int, name: str, started: float, budget: float) -> None:
@@ -72,37 +72,6 @@ def random_batch(rng, n_anchor=6, n_target=30):
         requested=n_anchor,
         eligible=n_anchor,
     )
-
-
-def unit_rows(rng, n, dim):
-    rows = rng.normal(size=(n, dim))
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
-
-
-def scalar_circle_loss(f_src, f_tgt, batch, mode, params):
-    negatives = batch.global_negatives if mode == NegativeMode.GLOBAL else batch.local_negatives
-    total = 0.0
-    used = 0
-    for slot in range(len(batch)):
-        pos, neg = batch.positives[slot], negatives[slot]
-        if len(pos) == 0 or len(neg) == 0:
-            continue
-        anchor = f_src[batch.anchors[slot]]
-        sum_p = 0.0
-        for j in pos:
-            d = math.dist(anchor, f_tgt[j])
-            gap = d - params.positive_margin
-            beta = params.scale if params.weighting == "constant" else params.scale * max(gap, 0.0)
-            sum_p += math.exp(beta * gap)
-        sum_n = 0.0
-        for k in neg:
-            d = math.dist(anchor, f_tgt[k])
-            gap = params.negative_margin - d
-            beta = params.scale if params.weighting == "constant" else params.scale * max(gap, 0.0)
-            sum_n += math.exp(beta * gap)
-        total += math.log(1.0 + sum_p * sum_n)
-        used += 1
-    return total / used
 
 
 def test_criterion_1_equation_exactness():

@@ -24,6 +24,8 @@ from hireg import (
     invert,
 )
 
+from hireg.cloud import member_distances
+
 from conftest import axis_angle_rotation, count_tree_queries, random_transform
 
 
@@ -229,17 +231,24 @@ class TestSpatialIndex:
             assert set(nearest[0].tolist()) <= ball
 
 
+def graph_distances(graph, points, centers):
+    """``member_distances`` of every member of ``graph`` from its row's centre."""
+    owners = np.repeat(np.arange(len(graph.offsets) - 1), graph.counts)
+    return member_distances(points, centers, graph.indices, owners)
+
+
 class TestNeighborGraph:
     def _assert_rows_match_radius_query(self, points, radius):
         index = build_index(PointCloud(points))
         graph = index.neighbor_graph(radius)
         assert graph.offsets[0] == 0 and graph.offsets[-1] == len(graph.indices)
+        distances = graph_distances(graph, points, points)
         for i, center in enumerate(points):
             row = slice(graph.offsets[i], graph.offsets[i + 1])
             ball = index.radius_batch(center[None], radius)[0]
             assert graph.indices[row].tolist() == ball.tolist()
             expected = np.linalg.norm(points[graph.indices[row]] - center, axis=1)
-            np.testing.assert_allclose(graph.distances[row], expected, rtol=1e-15, atol=0)
+            np.testing.assert_allclose(distances[row], expected, rtol=1e-15, atol=0)
 
     def test_rows_equal_radius_query(self, rng):
         self._assert_rows_match_radius_query(rng.uniform(-1, 1, size=(300, 3)), 0.3)
@@ -290,7 +299,7 @@ class TestNeighborGraph:
         # A released graph stays valid, and asking again rebuilds the same one.
         again = index.neighbor_graph(0.4)
         assert again is not large
-        for name in ("offsets", "indices", "distances"):
+        for name in ("offsets", "indices"):
             assert np.array_equal(getattr(again, name), getattr(large, name))
         index.keep_graphs()
         assert index._graphs == {}
@@ -322,7 +331,7 @@ class TestNeighborGraph:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == [] and len(seen) == 6 * 9
         for radius, graph in seen:
-            for name in ("offsets", "indices", "distances"):
+            for name in ("offsets", "indices"):
                 assert np.array_equal(getattr(graph, name), getattr(expected[radius], name))
         assert set(index._graphs) == set(radii)
 
@@ -376,7 +385,7 @@ class TestDroppedCandidates:
         offsets, indices, distances = self._brute(points, points, self.RADIUS)
         assert np.array_equal(graph.offsets, offsets)
         assert np.array_equal(graph.indices, indices)
-        assert np.array_equal(graph.distances, distances)
+        assert np.array_equal(graph_distances(graph, points, points), distances)
         assert graph.row(0).tolist() == [0, 4, 5]
 
     def test_radius_batch_drops_them_too(self):
@@ -395,13 +404,14 @@ class TestDroppedCandidates:
         index = build_index(PointCloud(points))
         centers = np.vstack([points[:4], points[:3] + [5.0, 0.0, 0.0], [[100.0, 0.0, 0.0]]])
         graph = index.radius_graph(centers, self.RADIUS)
-        for got, expected in zip((graph.offsets, graph.indices, graph.distances),
+        for got, expected in zip((graph.offsets, graph.indices,
+                                  graph_distances(graph, points, centers)),
                                  self._brute(points, centers, self.RADIUS)):
             assert got.dtype == expected.dtype and np.array_equal(got, expected)
         assert graph.counts.tolist() == [3, 3, 3, 3, 0, 0, 0, 0]
         empty = index.radius_graph(np.empty((0, 3)), self.RADIUS)
         assert empty.offsets.tolist() == [0] and empty.indices.dtype == np.intp
-        assert empty.indices.size == empty.distances.size == 0
+        assert empty.indices.size == 0
 
     def test_radius_batch_with_no_candidates(self, rng):
         index = build_index(PointCloud(rng.uniform(0, 1, size=(20, 3))))
@@ -412,6 +422,6 @@ class TestDroppedCandidates:
         index = build_index(PointCloud(np.array([[1.0, 2.0, 3.0]])))
         graph = index.neighbor_graph(0.5)
         assert graph.offsets.tolist() == [0, 1] and graph.indices.tolist() == [0]
-        assert graph.distances.tolist() == [0.0]
+        assert graph_distances(graph, index.cloud.points, index.cloud.points).tolist() == [0.0]
         balls = index.radius_batch(np.array([[1.0, 2.0, 3.0], [9.0, 9.0, 9.0]]), 0.5)
         assert [ball.tolist() for ball in balls] == [[0], []]

@@ -132,7 +132,7 @@ def _graph_of_sizes(sizes) -> NeighborGraph:
         rows.append(np.sort(np.append(rng.choice(others, size=m - 1, replace=False), center)))
     offsets = np.concatenate(([0], np.cumsum([len(r) for r in rows])))
     indices = np.concatenate(rows)
-    return NeighborGraph(offsets, indices, np.zeros(len(indices)))
+    return NeighborGraph(offsets, indices)
 
 
 @pytest.mark.parametrize("start, stop", [(0, len(SIZES)), (0, 1), (3, 6), (4, 5), (8, 9),

@@ -20,10 +20,7 @@ from hireg import detectors
 from hireg.cloud import SpatialIndex
 from hireg.detectors import KeypointSet, ScoreSet, pairwise_feature_nn
 
-
-def unit_rows(rng, n, dim):
-    rows = rng.normal(size=(n, dim))
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+from conftest import unit_rows
 
 
 class TestScoreSet:

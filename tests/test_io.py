@@ -113,6 +113,18 @@ class TestPly:
         with pytest.raises(ValidationError, match=message):
             io.load_ply(path)
 
+    def test_rejects_empty_vertex_element(self, tmp_path):
+        """Zero vertices name the file, as an empty xyz file does."""
+        path = tmp_path / "c.ply"
+        path.write_text("ply\nformat ascii 1.0\nelement vertex 0\nproperty float x\n"
+                        "property float y\nproperty float z\nend_header\n")
+        with pytest.raises(ValidationError, match=r"c\.ply: no points found"):
+            io.load_ply(path)
+        empty = tmp_path / "c.xyz"
+        empty.write_text("# no rows\n")
+        with pytest.raises(ValidationError, match=r"c\.xyz: no points found"):
+            io.load_xyz(empty)
+
     def test_dispatch_by_suffix(self, tmp_path, cloud):
         ply = tmp_path / "c.ply"
         xyz = tmp_path / "c.xyz"

@@ -41,7 +41,7 @@ from hireg.detectors import ScoreSet, pairwise_feature_nn
 from hireg.matching import Stage
 from hireg.synth import SceneSpec, generate_scene
 
-from conftest import count_tree_queries, random_transform, register_arrays
+from conftest import count_tree_queries, random_transform, register_arrays, unit_rows
 
 
 def quaternion_fit(src, tgt, weights):
@@ -69,11 +69,6 @@ def quaternion_fit(src, tgt, weights):
         [2*(q1*q3 - q0*q2), 2*(q2*q3 + q0*q1), q0*q0 - q1*q1 - q2*q2 + q3*q3],
     ])
     return rot, ct - rot @ cs
-
-
-def unit_rows(rng, n, dim):
-    rows = rng.normal(size=(n, dim))
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
 class TestMatchFeatures:
@@ -452,6 +447,21 @@ class TestRegister:
         with pytest.raises((NoConsensusError, DegenerateGeometryError)) as info:
             register(a, b, RunConfig(seed=0))
         assert getattr(info.value, "stage", None) == "coarse"
+
+    @pytest.mark.parametrize("pair", ["flat plane", "60-point room"])
+    def test_zero_weight_fine_pairs_fail_at_fine_stage(self, pair):
+        """Every kept fine pair has a source LOW detection of 0: the pair is
+        degenerate at the fine stage, not an invalid input."""
+        if pair == "flat plane":
+            points = np.random.default_rng(1).random((2000, 3))
+            points[:, 2] = 0.0
+            source = target = PointCloud(points)
+        else:
+            scene = generate_scene(SceneSpec(seed=3, n_points=60))
+            source, target = scene.source, scene.target
+        with pytest.raises(DegenerateGeometryError, match="zero weight") as info:
+            register(source, target)
+        assert info.value.stage == "fine"
 
     def test_deterministic(self):
         scene = generate_scene(SceneSpec(shape="box", n_points=1200, overlap=0.9,

@@ -37,36 +37,8 @@ from hireg import (
 from hireg import training
 from hireg.training import CircleLossResult
 
-from conftest import random_transform
+from conftest import random_transform, scalar_circle_loss, unit_rows
 from test_training_equivalence import _assert_circle_matches, _assert_labels_match
-
-
-def scalar_circle_loss(f_src, f_tgt, batch, mode, params):
-    """Direct python-loop evaluation of the per-anchor contrastive loss."""
-    negatives = batch.global_negatives if mode == NegativeMode.GLOBAL else batch.local_negatives
-    total = 0.0
-    used = 0
-    for slot in range(len(batch)):
-        pos = batch.positives[slot]
-        neg = negatives[slot]
-        if len(pos) == 0 or len(neg) == 0:
-            continue
-        anchor = f_src[batch.anchors[slot]]
-        sum_p = 0.0
-        for j in pos:
-            d = math.dist(anchor, f_tgt[j])
-            gap = d - params.positive_margin
-            beta = params.scale if params.weighting == "constant" else params.scale * max(gap, 0.0)
-            sum_p += math.exp(beta * gap)
-        sum_n = 0.0
-        for k in neg:
-            d = math.dist(anchor, f_tgt[k])
-            gap = params.negative_margin - d
-            beta = params.scale if params.weighting == "constant" else params.scale * max(gap, 0.0)
-            sum_n += math.exp(beta * gap)
-        total += math.log(1.0 + sum_p * sum_n)
-        used += 1
-    return total / used
 
 
 def make_batch(rng, n_anchor=8, n_target=40, n_pos=4, n_local=5, n_global=6):
@@ -84,11 +56,6 @@ def make_batch(rng, n_anchor=8, n_target=40, n_pos=4, n_local=5, n_global=6):
         requested=n_anchor,
         eligible=n_anchor,
     )
-
-
-def unit_rows(rng, n, dim):
-    rows = rng.normal(size=(n, dim))
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
 def count_distance_passes(monkeypatch, *layouts) -> list[int]:
