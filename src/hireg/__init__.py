@@ -64,7 +64,6 @@ from .synth import SceneSpec, SyntheticScene, generate_scene, measured_overlap
 from .training import (
     CircleLossParams,
     CircleLossResult,
-    LossWeights,
     NegativeMode,
     SampleBatch,
     SamplingRadii,

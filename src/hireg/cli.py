@@ -240,11 +240,8 @@ def cmd_labels(args) -> int:
     batch = build_sample_batch(source, target, gt, config.sampling,
                                config.anchors, config.seed)
     high_bits, high_valid = matchability_labels(src_high, tgt_high, batch,
-                                                NegativeMode.GLOBAL,
-                                                config.positive_reduction)
-    low_bits, low_valid = matchability_labels(src_low, tgt_low, batch,
-                                              NegativeMode.LOCAL,
-                                              config.positive_reduction)
+                                                NegativeMode.GLOBAL)
+    low_bits, low_valid = matchability_labels(src_low, tgt_low, batch, NegativeMode.LOCAL)
     # Invalid anchors carry bit 0, so one call ranks every anchor.
     high_rank, low_rank = keypoint_rankings(high_bits, low_bits)
     records = []
@@ -336,17 +333,15 @@ def _fd_gradient(fn, array: np.ndarray, coords, h: float = 1e-5) -> np.ndarray:
     return out
 
 
-def _grad_error(fn, array: np.ndarray, grad: np.ndarray, coords, corrupt: bool) -> float:
+def _grad_error(fn, array: np.ndarray, grad: np.ndarray, coords) -> float:
     """Largest relative error of ``grad`` against central differences at ``coords``."""
     fd = _fd_gradient(fn, array, coords)
     analytic = np.array([grad[index] for index in coords])
-    if corrupt:
-        analytic = analytic + 1e-3
     floor = np.maximum(np.maximum(np.abs(fd), np.abs(analytic)), 1e-6)
     return float((np.abs(analytic - fd) / floor).max())
 
 
-def run_losscheck(seed: int, corrupt: bool = False) -> tuple[dict[str, float], bool]:
+def run_losscheck(seed: int) -> tuple[dict[str, float], bool]:
     """All loss/gradient self-checks; returns (max relative errors, all_ok)."""
     from .training import CircleLossParams, TargetScores
 
@@ -376,7 +371,7 @@ def run_losscheck(seed: int, corrupt: bool = False) -> tuple[dict[str, float], b
                       for _ in range(10)]
             note(f"circle_{mode.value}_grad", _grad_error(
                 lambda arr: circle_loss(arr, f_tgt, batch, mode, params).loss,
-                f_src, result.grad_source, coords, corrupt))
+                f_src, result.grad_source, coords))
 
         scores = rng.uniform(0.05, 0.95, size=32)
         ranks = rng.integers(0, 4, size=32)
@@ -385,13 +380,13 @@ def run_losscheck(seed: int, corrupt: bool = False) -> tuple[dict[str, float], b
         note("rating_value", abs(loss - reference) / max(abs(reference), 1e-12))
         coords = [int(rng.integers(32)) for _ in range(10)]
         note("rating_grad", _grad_error(lambda arr: rating_loss(arr, ranks, targets)[0],
-                                        scores, grad, coords, corrupt))
+                                        scores, grad, coords))
 
         pred = rng.uniform(0.05, 0.95, size=32)
         labels = rng.integers(0, 2, size=32)
         _, grad = overlap_loss(pred, labels)
         note("overlap_grad", _grad_error(lambda arr: overlap_loss(arr, labels)[0],
-                                         pred, grad, coords, corrupt))
+                                         pred, grad, coords))
 
     ok = (errors["circle_global_value"] < 1e-10 and errors["circle_local_value"] < 1e-10
           and errors["rating_value"] < 1e-10
@@ -401,7 +396,7 @@ def run_losscheck(seed: int, corrupt: bool = False) -> tuple[dict[str, float], b
 
 def cmd_losscheck(args) -> int:
     seed = args.seed if args.seed is not None else 0
-    errors, ok = run_losscheck(seed, corrupt=args.corrupt)
+    errors, ok = run_losscheck(seed)
     for name in sorted(errors):
         print(f"{name:24s} max rel err {errors[name]:.3e}")
     if not ok:
@@ -467,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("losscheck", help="loss value and gradient self-checks")
     p_check.add_argument("--seed", type=int)
-    p_check.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p_check.set_defaults(func=cmd_losscheck)
 
     p_gen = sub.add_parser("gen-scene", help="generate a synthetic pair")

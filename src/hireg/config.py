@@ -4,12 +4,14 @@
 Configs round-trip exactly through dict/JSON (parse -> serialize -> parse is
 identity). Unknown keys are rejected so typos fail loudly, and so is a value
 whose type is not the field's: a bool is no number, and a JSON int is
-accepted for a float field.
+accepted for a float field. A float field takes only finite numbers, so
+``Infinity``, ``NaN`` and ``1e999`` are rejected.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import get_type_hints
@@ -76,7 +78,6 @@ class RunConfig:
     matching: MatchingParams = field(default_factory=MatchingParams)
     metrics: MetricParams = field(default_factory=MetricParams)
     anchors: int = 256
-    positive_reduction: str = "min"
     seed: int = 0
 
     def __post_init__(self):
@@ -84,8 +85,6 @@ class RunConfig:
             raise ValidationError("anchors must be >= 1")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
-        if self.positive_reduction not in ("min", "mean"):
-            raise ValidationError("positive_reduction must be 'min' or 'mean'")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -117,10 +116,15 @@ def _scalar(value, expected: type, context: str):
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ValidationError(
             f"{context}: expected {expected.__name__}, got {type(value).__name__}")
+    if expected is not float:
+        return value
     try:
-        return float(value) if expected is float else value
+        number = float(value)
     except OverflowError as exc:
         raise ValidationError(f"{context}: {exc}") from exc
+    if not math.isfinite(number):
+        raise ValidationError(f"{context}: expected a finite number, got {number}")
+    return number
 
 
 def load_config(path) -> RunConfig:

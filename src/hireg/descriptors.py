@@ -67,12 +67,12 @@ class DescriptorParams:
     low_rings: int = 3
 
     def __post_init__(self):
-        if not 0 < self.low_radius < self.high_radius:
-            raise ValidationError("require 0 < low_radius < high_radius")
+        if not 0 < self.low_radius < self.high_radius < np.inf:
+            raise ValidationError("require 0 < low_radius < high_radius, both finite")
         if self.bins < 2:
             raise ValidationError("bins must be >= 2")
-        if not self.normal_radius > 0:
-            raise ValidationError("normal_radius must be positive")
+        if not 0 < self.normal_radius < np.inf:
+            raise ValidationError("normal_radius must be finite and positive")
         if self.low_rings < 1:
             raise ValidationError("low_rings must be >= 1")
 
@@ -93,11 +93,9 @@ class DescriptorSet:
     vectors: np.ndarray
 
     def __post_init__(self):
-        vec = np.asarray(self.vectors, dtype=np.float64)
-        if vec.ndim != 2 or vec.shape[1] < 1:
+        vec = feature_matrix(self.vectors)
+        if vec.shape[1] < 1:
             raise ValidationError(f"descriptor vectors must be (N, D), got {vec.shape}")
-        if not np.isfinite(vec).all():
-            raise ValidationError("descriptor vectors contain NaN or Inf")
         norms = np.linalg.norm(vec, axis=1)
         bad = ~((np.abs(norms - 1.0) <= _UNIT_TOL) | (norms <= _UNIT_TOL))
         if bad.any():
@@ -113,6 +111,23 @@ class DescriptorSet:
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
+
+
+def feature_matrix(features) -> np.ndarray:
+    """Features as an (N, D) float64 matrix: a ``DescriptorSet`` gives its
+    vectors unchecked, as they were checked when it was built; anything else
+    must be a 2-D array of finite numbers."""
+    if isinstance(features, DescriptorSet):
+        return features.vectors
+    try:
+        mat = np.asarray(features, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"features must be numbers: {exc}") from exc
+    if mat.ndim != 2:
+        raise ValidationError(f"features must be (N, D), got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise ValidationError("features contain NaN or Inf")
+    return mat
 
 
 def _adjacency(graph: NeighborGraph, start: int = 0, stop: int | None = None) -> sparse.csr_matrix:
@@ -156,8 +171,8 @@ def estimate_normals(cloud: PointCloud, radius: float,
     the centroid-to-point direction. Points whose radius neighborhood holds
     fewer than 3 points (self included) get the flag value (0, 0, 0).
     """
-    if not radius > 0:
-        raise ValidationError("radius must be positive")
+    if not 0 < radius < np.inf:
+        raise ValidationError("radius must be finite and positive")
     pts = cloud.points
     cov, counts = _neighborhood_covariances(pts, index_for(cloud, index).neighbor_graph(radius))
     _, vecs = np.linalg.eigh(cov)

@@ -21,7 +21,7 @@ raises its error.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -41,6 +41,7 @@ from .descriptors import (
     Level,
     compute_descriptors,
     estimate_normals,
+    feature_matrix,
 )
 from .detectors import (
     KeypointSet,
@@ -125,9 +126,9 @@ class RegistrationResult:
     fine: CorrespondenceSet
     inlier_count: int
     iterations_used: int
-    timings_ms: dict[str, float] = field(default_factory=dict)
-    source_keypoints: KeypointSet | None = None
-    target_keypoints: KeypointSet | None = None
+    timings_ms: dict[str, float]
+    source_keypoints: KeypointSet
+    target_keypoints: KeypointSet
 
 
 def _describe_high(cloud: PointCloud, params: DescriptorParams
@@ -162,10 +163,8 @@ def match_features(source_descriptors: DescriptorSet | np.ndarray,
     nearest source row is the same one. Returned pairs index into the rows of
     the given descriptor matrices; weights are 1.
     """
-    f_src = source_descriptors.vectors if isinstance(source_descriptors, DescriptorSet) \
-        else np.asarray(source_descriptors, dtype=np.float64)
-    f_tgt = target_descriptors.vectors if isinstance(target_descriptors, DescriptorSet) \
-        else np.asarray(target_descriptors, dtype=np.float64)
+    f_src = feature_matrix(source_descriptors)
+    f_tgt = feature_matrix(target_descriptors)
     if f_src.size == 0 or f_tgt.size == 0:
         raise ValidationError("descriptor sets must be nonempty")
     if f_src.shape[1] != f_tgt.shape[1]:
@@ -193,6 +192,8 @@ def weighted_svd(source_points: np.ndarray, target_points: np.ndarray,
         raise ValidationError("source, target, and weights must have matching length")
     if src.shape[0] < 3:
         raise ValidationError("need at least 3 pairs")
+    if not (np.isfinite(src).all() and np.isfinite(tgt).all()):
+        raise ValidationError("points contain NaN or Inf")
     if (w < 0).any() or not np.isfinite(w).all():
         raise ValidationError("weights must be finite and nonnegative")
     total = w.sum()
@@ -347,8 +348,8 @@ def local_cell_match(source_index: SpatialIndex, target_index: SpatialIndex,
     member without a row is an error, and so is a ``source_low`` without one
     row per indexed source point.
     """
-    if not cell_radius > 0:
-        raise ValidationError("cell_radius must be positive")
+    if not 0 < cell_radius < np.inf:
+        raise ValidationError("cell_radius must be finite and positive")
     n_src, n_tgt = len(source_index.cloud), len(target_index.cloud)
     if len(source_low) != n_src or (target_rows is None and len(target_low) != n_tgt):
         raise ValidationError("low-level descriptors must match their indexed clouds")

@@ -53,7 +53,7 @@ import numpy as np
 from scipy import sparse
 
 from .cloud import PointCloud, RigidTransform, build_index, map_chunks, transform_points
-from .descriptors import DescriptorSet
+from .descriptors import DescriptorSet, feature_matrix
 from .errors import (
     DegenerateBatchError,
     NoCorrespondenceError,
@@ -86,9 +86,9 @@ class SamplingRadii:
     global_negative: float = 0.1
 
     def __post_init__(self):
-        if not 0 < self.positive < self.local_negative < self.global_negative:
+        if not 0 < self.positive < self.local_negative < self.global_negative < np.inf:
             raise ValidationError(
-                "require 0 < positive < local_negative < global_negative"
+                "require 0 < positive < local_negative < global_negative, all finite"
             )
 
 
@@ -212,15 +212,6 @@ def build_sample_batch(source: PointCloud, target: PointCloud, gt: RigidTransfor
         requested=n_anchors,
         eligible=int(eligible.size),
     )
-
-
-def _feature_matrix(features) -> np.ndarray:
-    if isinstance(features, DescriptorSet):
-        return features.vectors
-    mat = np.asarray(features, dtype=np.float64)
-    if mat.ndim != 2:
-        raise ValidationError(f"features must be (N, D), got shape {mat.shape}")
-    return mat
 
 
 @dataclass(frozen=True)
@@ -470,8 +461,8 @@ def _samples(features: tuple, f_src: np.ndarray, f_tgt: np.ndarray,
 
 
 def _sample_features(source_features, target_features) -> tuple[np.ndarray, np.ndarray]:
-    f_src = _feature_matrix(source_features)
-    f_tgt = _feature_matrix(target_features)
+    f_src = feature_matrix(source_features)
+    f_tgt = feature_matrix(target_features)
     if f_src.shape[1] != f_tgt.shape[1]:
         raise ValidationError("source/target feature dimensions differ")
     return f_src, f_tgt
@@ -527,9 +518,9 @@ def circle_loss(source_features, target_features, batch: SampleBatch,
 
 
 def matchability_labels(source_features, target_features, batch: SampleBatch,
-                        mode: NegativeMode,
-                        positive_reduction: str = "min") -> tuple[np.ndarray, np.ndarray]:
-    """Per-anchor bit: positive feature distance beats the closest negative.
+                        mode: NegativeMode) -> tuple[np.ndarray, np.ndarray]:
+    """Per-anchor bit: the closest positive beats the closest negative in
+    feature distance.
 
     The high-level labels pair high descriptors with global negatives, the
     low-level ones low descriptors with local negatives; callers pass the
@@ -537,8 +528,6 @@ def matchability_labels(source_features, target_features, batch: SampleBatch,
     anchors with an empty positive or negative set are flagged invalid and
     must be excluded downstream.
     """
-    if positive_reduction not in ("min", "mean"):
-        raise ValidationError("positive_reduction must be 'min' or 'mean'")
     f_src, f_tgt = _sample_features(source_features, target_features)
     valid = _usable_slots(batch, mode)
     bits = np.zeros(len(batch), dtype=np.int8)
@@ -547,11 +536,7 @@ def matchability_labels(source_features, target_features, batch: SampleBatch,
     slots = np.flatnonzero(valid)
     _, ((pos, d_pos), (neg, d_neg)) = _samples(
         (source_features, target_features), f_src, f_tgt, batch, mode, slots)
-    if positive_reduction == "min":
-        reduced = pos.minima(d_pos)
-    else:  # the sum over the count, as np.mean computes it
-        reduced = pos.sums(d_pos) / np.diff(pos.offsets)
-    bits[slots] = reduced - neg.minima(d_neg) < 0
+    bits[slots] = pos.minima(d_pos) - neg.minima(d_neg) < 0
     return bits, valid
 
 
@@ -625,27 +610,11 @@ def overlap_loss(predictions, labels) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
-@dataclass(frozen=True)
-class LossWeights:
-    """Coefficients for the total objective; the default keeps a plain sum."""
-
-    high_descriptor: float = 1.0
-    low_descriptor: float = 1.0
-    overlap: float = 1.0
-    high_matchability: float = 1.0
-    low_matchability: float = 1.0
-
-
 def total_loss(high_descriptor: float, low_descriptor: float, overlap: float,
-               high_matchability: float, low_matchability: float,
-               weights: LossWeights | None = None) -> float:
-    """Combine the five objective components (unweighted sum by default)."""
+               high_matchability: float, low_matchability: float) -> float:
+    """The total objective: the plain sum of its five components."""
     parts = np.array([high_descriptor, low_descriptor, overlap,
                       high_matchability, low_matchability], dtype=np.float64)
     if not np.isfinite(parts).all() or (parts < 0).any():
         raise ValidationError("loss components must be finite and nonnegative")
-    if weights is None:
-        return float(parts.sum())
-    coeff = np.array([weights.high_descriptor, weights.low_descriptor, weights.overlap,
-                      weights.high_matchability, weights.low_matchability])
-    return float(parts @ coeff)
+    return float(parts.sum())

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -290,8 +291,15 @@ class TestLosscheckCommand:
         out = capsys.readouterr().out
         assert "all loss checks passed" in out
 
-    def test_corrupted_gradient_fails(self, capsys):
-        assert main(["losscheck", "--seed", "0", "--corrupt"]) == 3
+    def test_corrupted_gradient_fails(self, capsys, monkeypatch):
+        true_loss = cli.circle_loss
+
+        def corrupted(*args):
+            result = true_loss(*args)
+            return replace(result, grad_source=result.grad_source + 1e-3)
+
+        monkeypatch.setattr(cli, "circle_loss", corrupted)
+        assert main(["losscheck", "--seed", "0"]) == 3
         err = capsys.readouterr().err
         assert "exceeded tolerance" in err
 

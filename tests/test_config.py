@@ -41,8 +41,10 @@ class TestRunConfig:
         {"matching": {"per_cell_selection": False}},
         {"ransac": {"seed": 0}},
         {"matching": {"cell_radius": 0.1}},
+        {"positive_reduction": "min"},
     ], ids=["circle", "targets", "loss_weights", "matching.mutual",
-            "matching.per_cell_selection", "ransac.seed", "matching.cell_radius"])
+            "matching.per_cell_selection", "ransac.seed", "matching.cell_radius",
+            "positive_reduction"])
     def test_removed_keys_rejected(self, document):
         with pytest.raises(ValidationError, match="unknown keys"):
             RunConfig.from_dict(document)
@@ -79,17 +81,31 @@ class TestRunConfig:
         {"seed": True},
         {"seed": 3.0},
         {"anchors": False},
-        {"positive_reduction": 1},
         {"descriptor": {"bins": 11.5}},
         {"ransac": {"max_iterations": "100"}},
         {"ransac": {"inlier_threshold": True}},
         {"matching": {"top_fraction": "0.5"}},
         {"matching": {"top_fraction": None}},
-    ], ids=["seed-str", "seed-bool", "seed-float", "anchors-bool", "reduction-int",
-            "bins-float", "iterations-str", "threshold-bool", "fraction-str", "fraction-null"])
+    ], ids=["seed-str", "seed-bool", "seed-float", "anchors-bool", "bins-float",
+            "iterations-str", "threshold-bool", "fraction-str", "fraction-null"])
     def test_wrong_value_type_rejected(self, document):
         with pytest.raises(ValidationError, match="expected (int|float|str), got"):
             RunConfig.from_dict(document)
+
+    # JSON's Infinity, NaN and 1e999 parse as floats. An infinite radius
+    # would put every pair of points into one neighbour graph.
+    @pytest.mark.parametrize("text, field", [
+        ('{"descriptor": {"high_radius": Infinity}}', "config.descriptor.high_radius"),
+        ('{"descriptor": {"high_radius": 1e999}}', "config.descriptor.high_radius"),
+        ('{"descriptor": {"normal_radius": Infinity}}', "config.descriptor.normal_radius"),
+        ('{"sampling": {"global_negative": Infinity}}', "config.sampling.global_negative"),
+        ('{"matching": {"top_fraction": NaN}}', "config.matching.top_fraction"),
+    ], ids=["high-inf", "high-1e999", "normal-inf", "global-negative-inf", "fraction-nan"])
+    def test_nonfinite_float_rejected(self, tmp_path, text, field):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=re.escape(field) + ": expected a finite"):
+            load_config(path)
 
     def test_int_accepted_for_float_field(self):
         config = RunConfig.from_dict({"matching": {"top_fraction": 1},
@@ -115,5 +131,3 @@ class TestRunConfig:
             MatchingParams(top_fraction=0.0)
         with pytest.raises(ValidationError):
             MetricParams(fmr_threshold=1.0)
-        with pytest.raises(ValidationError):
-            RunConfig(positive_reduction="median")

@@ -43,6 +43,11 @@ class TestDescriptorParams:
         with pytest.raises(ValidationError):
             DescriptorParams(bins=1)
 
+    @pytest.mark.parametrize("field", ["high_radius", "normal_radius"])
+    def test_infinite_radius_rejected(self, field):
+        with pytest.raises(ValidationError, match="finite"):
+            DescriptorParams(**{field: np.inf})
+
 
 class TestDescriptorSet:
     def test_rejects_non_unit_rows(self):
@@ -85,6 +90,10 @@ class TestEstimateNormals:
     def test_rejects_bad_radius(self):
         with pytest.raises(ValidationError):
             estimate_normals(PointCloud(np.zeros((1, 3))), 0.0)
+
+    def test_rejects_infinite_radius(self):
+        with pytest.raises(ValidationError, match="finite"):
+            estimate_normals(PointCloud(np.zeros((4, 3))), np.inf)
 
 
 class TestComputeDescriptors:

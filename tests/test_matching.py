@@ -109,6 +109,22 @@ class TestMatchFeatures:
         with pytest.raises(ValidationError):
             match_features(np.empty((0, 4)), unit_rows(rng, 3, 4))
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 3)])
+    def test_non_matrix_rejected(self, rng, shape):
+        with pytest.raises(ValidationError, match=r"must be \(N, D\)"):
+            match_features(np.ones(shape), unit_rows(rng, 4, 3))
+        with pytest.raises(ValidationError, match=r"must be \(N, D\)"):
+            match_features(unit_rows(rng, 4, 3), np.ones(shape))
+
+    def test_non_numeric_rejected(self):
+        with pytest.raises(ValidationError, match="must be numbers"):
+            match_features(np.array([["a", "b"]]), np.eye(2))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_rows_rejected(self, value):
+        with pytest.raises(ValidationError, match="NaN or Inf"):
+            match_features(np.full((4, 3), value), np.eye(3))
+
 
 class TestWeightedSvd:
     def test_identity_on_identical_sets(self, rng):
@@ -175,6 +191,14 @@ class TestWeightedSvd:
             weighted_svd(pts, pts, np.zeros(5))
         with pytest.raises(ValidationError):
             weighted_svd(pts, pts, -np.ones(5))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_nonfinite_points_rejected(self, rng, value, side):
+        points = [rng.normal(size=(5, 3)), rng.normal(size=(5, 3))]
+        points[side][2, 1] = value
+        with pytest.raises(ValidationError, match="NaN or Inf"):
+            weighted_svd(*points, np.ones(5))
 
     def test_output_always_valid_rotation(self, rng):
         for _ in range(50):
@@ -316,6 +340,12 @@ class TestLocalCellMatch:
         descs = DescriptorSet(Level.LOW, unit_rows(rng, 1, 4))
         with pytest.raises(ValidationError):
             local_cell_match(index, index, (0, 0), descs, descs, cell_radius=0.0)
+
+    def test_infinite_radius_rejected(self, rng):
+        index = build_index(PointCloud(np.zeros((1, 3))))
+        descs = DescriptorSet(Level.LOW, unit_rows(rng, 1, 4))
+        with pytest.raises(ValidationError, match="finite"):
+            local_cell_match(index, index, (0, 0), descs, descs, cell_radius=np.inf)
 
     @pytest.mark.parametrize("pair", [(2, 0), (0, 1), (-1, 0), (0, -1)])
     def test_anchor_outside_cloud_rejected(self, rng, pair):

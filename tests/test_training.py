@@ -16,7 +16,6 @@ from hireg import (
     DegenerateBatchError,
     DescriptorSet,
     Level,
-    LossWeights,
     NegativeMode,
     NoCorrespondenceError,
     PointCloud,
@@ -79,6 +78,10 @@ class TestSamplingRadii:
             SamplingRadii(positive=0.06, local_negative=0.05, global_negative=0.1)
         with pytest.raises(ValidationError):
             SamplingRadii(positive=0.01, local_negative=0.2, global_negative=0.1)
+
+    def test_infinite_global_negative_rejected(self):
+        with pytest.raises(ValidationError, match="finite"):
+            SamplingRadii(global_negative=np.inf)
 
 
 class TestBuildSampleBatch:
@@ -331,19 +334,6 @@ class TestMatchability:
                 assert valid[slot]
                 assert bits[slot] == (1 if d_pos - d_neg < 0 else 0)
 
-    def test_mean_reduction_option(self, rng):
-        batch = make_batch(rng, n_anchor=4)
-        f_src = unit_rows(rng, 4, 5)
-        f_tgt = unit_rows(rng, 40, 5)
-        bits, _ = matchability_labels(f_src, f_tgt, batch, NegativeMode.GLOBAL,
-                                      positive_reduction="mean")
-        for slot in range(4):
-            d_pos = np.mean([math.dist(f_src[batch.anchors[slot]], f_tgt[j])
-                             for j in batch.positives[slot]])
-            d_neg = min(math.dist(f_src[batch.anchors[slot]], f_tgt[k])
-                        for k in batch.global_negatives[slot])
-            assert bits[slot] == (1 if d_pos - d_neg < 0 else 0)
-
     def test_empty_set_flagged_invalid(self):
         batch = SampleBatch(
             anchors=np.array([0], dtype=np.intp),
@@ -362,15 +352,25 @@ class TestMatchability:
             matchability_labels(unit_rows(rng, 2, 5), unit_rows(rng, 40, 4), batch,
                                 NegativeMode.GLOBAL)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_features_rejected(self, rng, value):
+        batch = make_batch(rng, n_anchor=2)
+        f_src, f_tgt = unit_rows(rng, 2, 5), unit_rows(rng, 40, 5)
+        f_tgt[batch.positives[0][0], 1] = value
+        for loss in (lambda: matchability_labels(f_src, f_tgt, batch, NegativeMode.GLOBAL),
+                     lambda: circle_loss(f_src, f_tgt, batch, NegativeMode.GLOBAL,
+                                         CircleLossParams())):
+            with pytest.raises(ValidationError, match="NaN or Inf"):
+                loss()
+
     def test_empty_batch_gives_empty_arrays(self):
         empty = np.array([], dtype=np.intp)
         batch = SampleBatch(anchors=empty, positives=(), local_negatives=(),
                             global_negatives=(), requested=1, eligible=0)
-        for reduction in ("min", "mean"):
-            bits, valid = matchability_labels(np.zeros((3, 2)), np.ones((4, 2)), batch,
-                                              NegativeMode.GLOBAL, reduction)
-            assert bits.dtype == np.int8 and bits.shape == (0,)
-            assert valid.dtype == bool and valid.shape == (0,)
+        bits, valid = matchability_labels(np.zeros((3, 2)), np.ones((4, 2)), batch,
+                                          NegativeMode.GLOBAL)
+        assert bits.dtype == np.int8 and bits.shape == (0,)
+        assert valid.dtype == bool and valid.shape == (0,)
 
     @pytest.mark.parametrize("bad_index", [40, -1])
     def test_out_of_range_sample_index_rejected(self, rng, bad_index):
@@ -505,11 +505,9 @@ class TestGlobalTile:
         assert tile_passes[0] == 1
         assert result.skipped_anchors == (1,) and result.used_anchors == 4
         assert np.isfinite(result.grad_source).all() and np.isfinite(result.grad_target).all()
-        for reduction in ("min", "mean"):
-            bits, valid = _assert_labels_match(f_src, f_tgt, batch, NegativeMode.GLOBAL,
-                                               reduction)
-            assert valid.tolist() == [True, False, True, True, True]
-            assert bits[3] == 0  # its closest global negative is at distance 0
+        bits, valid = _assert_labels_match(f_src, f_tgt, batch, NegativeMode.GLOBAL)
+        assert valid.tolist() == [True, False, True, True, True]
+        assert bits[3] == 0  # its closest global negative is at distance 0
 
     @pytest.mark.parametrize("weighting", ["constant", "self_paced"])
     def test_random_unsorted_repeated_sets_match_reference(self, rng, weighting):
@@ -521,8 +519,7 @@ class TestGlobalTile:
                 rng.integers(0, 40, size=rng.integers(20, 40)) for _ in range(6)))
             f_src, f_tgt = unit_rows(rng, 6, 5), unit_rows(rng, 40, 5)
             _assert_circle_matches(f_src, f_tgt, batch, NegativeMode.GLOBAL, params)
-            for reduction in ("min", "mean"):
-                _assert_labels_match(f_src, f_tgt, batch, NegativeMode.GLOBAL, reduction)
+            _assert_labels_match(f_src, f_tgt, batch, NegativeMode.GLOBAL)
 
 
 class TestKeypointRankings:
@@ -658,11 +655,6 @@ class TestTotalLoss:
     def test_random_matches_direct_sum(self, rng):
         parts = rng.uniform(0, 3, size=5)
         assert total_loss(*parts) == pytest.approx(float(parts.sum()), rel=1e-15)
-
-    def test_weights_applied(self):
-        weights = LossWeights(high_descriptor=2.0, low_descriptor=0.0, overlap=1.0,
-                              high_matchability=1.0, low_matchability=1.0)
-        assert total_loss(1, 1, 1, 1, 1, weights) == 5.0
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValidationError):

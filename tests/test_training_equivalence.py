@@ -102,7 +102,7 @@ def _ref_circle_loss(f_src, f_tgt, batch, mode, params):
                             skipped_anchors=tuple(skipped))
 
 
-def _ref_matchability_labels(f_src, f_tgt, batch, mode, positive_reduction="min"):
+def _ref_matchability_labels(f_src, f_tgt, batch, mode):
     negatives = batch.negatives(mode)
     bits = np.zeros(len(batch), dtype=np.int8)
     valid = np.zeros(len(batch), dtype=bool)
@@ -113,8 +113,7 @@ def _ref_matchability_labels(f_src, f_tgt, batch, mode, positive_reduction="min"
             continue
         d_pos = np.linalg.norm(f_src[anchor] - f_tgt[pos], axis=1)
         d_neg = np.linalg.norm(f_src[anchor] - f_tgt[neg], axis=1)
-        reduced = d_pos.min() if positive_reduction == "min" else d_pos.mean()
-        bits[slot] = 1 if reduced - d_neg.min() < 0 else 0
+        bits[slot] = 1 if d_pos.min() - d_neg.min() < 0 else 0
         valid[slot] = True
     return bits, valid
 
@@ -132,9 +131,9 @@ def _assert_circle_matches(f_src, f_tgt, batch, mode, params):
     return got
 
 
-def _assert_labels_match(f_src, f_tgt, batch, mode, reduction):
-    bits, valid = matchability_labels(f_src, f_tgt, batch, mode, reduction)
-    ref_bits, ref_valid = _ref_matchability_labels(f_src, f_tgt, batch, mode, reduction)
+def _assert_labels_match(f_src, f_tgt, batch, mode):
+    bits, valid = matchability_labels(f_src, f_tgt, batch, mode)
+    ref_bits, ref_valid = _ref_matchability_labels(f_src, f_tgt, batch, mode)
     assert bits.dtype == ref_bits.dtype and valid.dtype == ref_valid.dtype
     assert np.array_equal(bits, ref_bits)
     assert np.array_equal(valid, ref_valid)
@@ -215,13 +214,14 @@ def test_room_per_anchor_losses_match_reference(room, level, mode):
             _ref_circle_loss(f_src, f_tgt, one, mode, params).loss, slot
 
 
-@pytest.mark.parametrize("reduction", ["min", "mean"])
+# The "-min" in each id names the positive reduction: the closest positive.
 @pytest.mark.parametrize("level, mode", [(Level.HIGH, NegativeMode.GLOBAL),
-                                         (Level.LOW, NegativeMode.LOCAL)])
-def test_room_matchability_labels_match_reference(room, level, mode, reduction):
+                                         (Level.LOW, NegativeMode.LOCAL)],
+                         ids=["high-global-min", "low-local-min"])
+def test_room_matchability_labels_match_reference(room, level, mode):
     _, features, batch = room
     bits, valid = _assert_labels_match(features["src", level], features["tgt", level],
-                                       batch, mode, reduction)
+                                       batch, mode)
     assert valid.any() and 0 < bits[valid].sum() < valid.sum()
 
 
@@ -259,17 +259,16 @@ def test_crafted_batch_circle_loss_matches_reference(crafted, mode, weighting):
     assert np.isfinite(result.grad_source).all() and np.isfinite(result.grad_target).all()
 
 
-@pytest.mark.parametrize("reduction", ["min", "mean"])
-@pytest.mark.parametrize("mode", [NegativeMode.GLOBAL, NegativeMode.LOCAL])
-def test_crafted_batch_labels_match_reference(crafted, mode, reduction):
+@pytest.mark.parametrize("mode", [NegativeMode.GLOBAL, NegativeMode.LOCAL],
+                         ids=["global-min", "local-min"])
+def test_crafted_batch_labels_match_reference(crafted, mode):
     f_src, f_tgt, batch = crafted
-    bits, valid = _assert_labels_match(f_src, f_tgt, batch, mode, reduction)
+    bits, valid = _assert_labels_match(f_src, f_tgt, batch, mode)
     expected_valid = [True, True, False, mode == NegativeMode.GLOBAL,
                       mode == NegativeMode.LOCAL, True]
     assert valid.tolist() == expected_valid
     assert bits[2] == 0 and not bits[~valid].any()
-    if reduction == "min":
-        assert bits[1] == 1  # its positive sits at distance 0
+    assert bits[1] == 1  # its positive sits at distance 0
 
 
 def test_all_skipped_batch_raises_like_reference(crafted):
