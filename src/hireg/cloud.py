@@ -94,8 +94,20 @@ def map_chunks(fn, n: int, chunk: int) -> None:
         pass
 
 
+def real_array(value, name: str) -> np.ndarray:
+    """``value`` as a float64 array; strings, complex values and other
+    non-real input raise ``ValidationError`` instead of converting."""
+    try:
+        array = np.asarray(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be numbers: {exc}") from exc
+    if array.dtype.kind not in "biuf":
+        raise ValidationError(f"{name} must be numbers: real, not {array.dtype}")
+    return array.astype(np.float64, copy=False)
+
+
 def _as_points(array: np.ndarray) -> np.ndarray:
-    pts = np.asarray(array, dtype=np.float64)
+    pts = real_array(array, "points")
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValidationError(f"expected points with shape (N, 3), got {pts.shape}")
     if not np.isfinite(pts).all():
@@ -104,7 +116,7 @@ def _as_points(array: np.ndarray) -> np.ndarray:
 
 
 def _as_vector3(value, name: str) -> np.ndarray:
-    vec = np.asarray(value, dtype=np.float64).reshape(-1)
+    vec = real_array(value, name).reshape(-1)
     if vec.shape != (3,):
         raise ValidationError(f"{name} must be a 3-vector, got shape {vec.shape}")
     if not np.isfinite(vec).all():
@@ -141,7 +153,7 @@ class RigidTransform:
     translation: np.ndarray
 
     def __post_init__(self):
-        rot = np.asarray(self.rotation, dtype=np.float64)
+        rot = real_array(self.rotation, "rotation")
         if rot.shape != (3, 3) or not np.isfinite(rot).all():
             raise ValidationError("rotation must be a finite 3x3 matrix")
         if np.abs(rot.T @ rot - np.eye(3)).max() > ROTATION_TOL:
@@ -308,10 +320,12 @@ class SpatialIndex:
         graph = self.radius_graph(centers, radius)
         return np.split(graph.indices, graph.offsets[1:-1]) if len(graph.offsets) > 1 else []
 
-    def knn_batch(self, centers: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Raw kd-tree k-NN for many centers; no tie-break guarantee."""
+    def knn_batch(self, centers: np.ndarray, k: int,
+                  bound: float = np.inf) -> tuple[np.ndarray, np.ndarray]:
+        """Raw kd-tree k-NN for many centers; no tie-break guarantee. A neighbour
+        at ``bound`` or beyond is missing: distance inf, index ``len(cloud)``."""
         dists, idx = self._tree.query(np.asarray(centers, dtype=np.float64), k=k,
-                                      workers=worker_count())
+                                      distance_upper_bound=bound, workers=worker_count())
         return np.atleast_2d(dists), np.atleast_2d(idx)
 
     def self_knn(self, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -21,7 +21,7 @@ import numpy as np
 from scipy import sparse
 
 from .cloud import (NeighborGraph, PointCloud, SpatialIndex, index_for, map_chunks,
-                    member_distances)
+                    member_distances, real_array)
 from .errors import ValidationError
 
 _UNIT_TOL = 1e-6
@@ -119,10 +119,7 @@ def feature_matrix(features) -> np.ndarray:
     must be a 2-D array of finite numbers."""
     if isinstance(features, DescriptorSet):
         return features.vectors
-    try:
-        mat = np.asarray(features, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"features must be numbers: {exc}") from exc
+    mat = real_array(features, "features")
     if mat.ndim != 2:
         raise ValidationError(f"features must be (N, D), got shape {mat.shape}")
     if not np.isfinite(mat).all():

@@ -33,6 +33,7 @@ from .cloud import (
     RigidTransform,
     SpatialIndex,
     build_index,
+    real_array,
     transform_points,
 )
 from .descriptors import (
@@ -185,9 +186,9 @@ def weighted_svd(source_points: np.ndarray, target_points: np.ndarray,
     cannot constrain the rotation (fewer than 3 pairs, zero total weight, or
     an effectively collinear weighted point set).
     """
-    src = np.asarray(source_points, dtype=np.float64).reshape(-1, 3)
-    tgt = np.asarray(target_points, dtype=np.float64).reshape(-1, 3)
-    w = np.asarray(weights, dtype=np.float64).reshape(-1)
+    src = real_array(source_points, "source_points").reshape(-1, 3)
+    tgt = real_array(target_points, "target_points").reshape(-1, 3)
+    w = real_array(weights, "weights").reshape(-1)
     if src.shape != tgt.shape or src.shape[0] != w.shape[0]:
         raise ValidationError("source, target, and weights must have matching length")
     if src.shape[0] < 3:

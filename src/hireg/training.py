@@ -27,21 +27,22 @@ weight matrix per sample kind, with rows for anchors and columns for target
 points: sparse for flat rows, and for the tile a dense matrix that counts a
 repeated cell once per occurrence.
 
-Flat distances run on the calling thread in chunks of ``_CHUNK_ROWS`` rows:
-a 256-anchor step sends them a few thousand rows. The global-negative tile
-runs on the shared worker pool (``cloud.map_chunks``) in blocks of
-``_TILE_SLOTS`` anchor rows, so no result depends on the worker count. One
-block pass checks the block's sets and fills its tile rows. The loss's block
-pass takes the exponentials, each slot's sum and the block's rows of the
-weight tile, which need no other slot's sums. What mixes anchors stays
-whole on the calling thread: the anchor-order loss total, the weight tile's
-column sums and its two BLAS products. So do the labels' per-slot minima,
-whose gathers hold the interpreter lock and ran slower on the pool. A batch
-keeps the layouts, with their distances, of each (source ``DescriptorSet``,
-target ``DescriptorSet``, negative mode) it has seen for its lifetime, so
-``circle_loss`` and ``matchability_labels`` on the same sets share one
-pass: about 7 MB per global-negative tile at 256 anchors on 5k points. Raw
-arrays are never memoised, as a caller may change them in place.
+Flat distances run on the calling thread in chunks of ``_CHUNK_ROWS`` rows: a
+256-anchor step sends them a few thousand rows. The global-negative tile runs
+on the shared worker pool (``cloud.map_chunks``) in blocks of 16
+(``_TILE_SLOTS``) anchor rows, so no result depends on the worker count. One
+block pass checks the block's sets and fills its tile rows with five
+block-sized arrays live. The loss's block pass takes the exponentials, each
+slot's sum and the block's rows of the weight tile, which need no other
+slot's sums. What mixes anchors stays whole on the calling thread: the
+anchor-order loss total, the weight tile's column sums and its two BLAS
+products. So do the labels' per-slot minima, whose gathers hold the
+interpreter lock and ran slower on the pool. A batch keeps the layouts, with
+their distances, of each (source ``DescriptorSet``, target ``DescriptorSet``,
+negative mode) it has seen for its lifetime, so ``circle_loss`` and
+``matchability_labels`` on the same sets share one pass: about 7 MB per
+global-negative tile at 256 anchors on 5k points. Raw arrays are never
+memoised, as a caller may change them in place.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ _CLAMP = 1e-7
 # Flat (anchor, target) rows whose feature differences a distance pass holds at once.
 _CHUNK_ROWS = 1024
 # Anchor rows of one pool task in a tile distance pass.
-_TILE_SLOTS = 8
+_TILE_SLOTS = 16
 
 
 class NegativeMode(str, Enum):
@@ -320,8 +321,9 @@ def _add_squares(rows: np.ndarray, columns: np.ndarray, out: np.ndarray,
     of k: one by one below 8 terms, in 8 strided accumulators up to 128 and
     then the rest one by one, and as two halves above that, the first a
     multiple of 8 long. Each cell thus has the bits of the row form, while
-    every step is one contiguous operation over a whole block.
-    ``scratch`` holds nine arrays of ``out``'s shape."""
+    every step is one contiguous operation over a whole block. Each chain
+    of 8-strided terms is taken whole and pairs are added as chains complete,
+    so only ``out`` and ``scratch``'s four arrays of its shape are live."""
     n = len(columns)
 
     def square(k: int, into: np.ndarray) -> np.ndarray:
@@ -333,17 +335,22 @@ def _add_squares(rows: np.ndarray, columns: np.ndarray, out: np.ndarray,
         for k in range(n):
             np.add(out, square(k, scratch[0]), out=out)
     elif n <= 128:
-        acc, term = scratch[:8], scratch[8]
-        for j in range(8):
-            square(j, acc[j])
-        whole = n - n % 8
-        for k in range(8, whole):
-            np.add(acc[k % 8], square(k, term), out=acc[k % 8])
-        for j in (0, 2, 4, 6):
-            np.add(acc[j], acc[j + 1], out=acc[j])
-        np.add(acc[0], acc[2], out=acc[0])
-        np.add(acc[4], acc[6], out=acc[4])
-        np.add(acc[0], acc[4], out=out)
+        whole, (a, b, c, term) = n - n % 8, scratch
+
+        def chain(j: int, acc: np.ndarray) -> np.ndarray:  # terms j, j + 8, ...
+            square(j, acc)
+            for k in range(j + 8, whole, 8):
+                np.add(acc, square(k, term), out=acc)
+            return acc
+
+        # ((c0 + c1) + (c2 + c3)) + ((c4 + c5) + (c6 + c7)); arguments run left to right
+        np.add(chain(0, out), chain(1, a), out=out)
+        np.add(chain(2, a), chain(3, b), out=a)
+        np.add(out, a, out=out)
+        np.add(chain(4, a), chain(5, b), out=a)
+        np.add(chain(6, b), chain(7, c), out=b)
+        np.add(a, b, out=a)
+        np.add(out, a, out=out)
         for k in range(whole, n):
             np.add(out, square(k, term), out=out)
     else:
@@ -384,7 +391,7 @@ class _TileSets:
                 raise ValidationError(f"sample indices must lie in [0, {self.n_targets})")
             block = tile[start:stop]
             _add_squares(f_anchor[start:stop], columns, block,
-                         [np.empty_like(block) for _ in range(9)])
+                         [np.empty_like(block) for _ in range(4)])
             np.sqrt(block, out=block)
 
         map_chunks(measure, len(tile), _TILE_SLOTS)
@@ -583,8 +590,9 @@ def overlap_labels(source: PointCloud, target: PointCloud, gt: RigidTransform,
     if not radius > 0:
         raise ValidationError("radius must be positive")
     aligned = transform_points(source.points, gt)
-    d_src, _ = build_index(target).knn_batch(aligned, 1)
-    d_tgt, _ = build_index(PointCloud(aligned)).knn_batch(target.points, 1)
+    bound = np.nextafter(radius, np.inf)  # the search stops past it; radius itself is in
+    d_src, _ = build_index(target).knn_batch(aligned, 1, bound)
+    d_tgt, _ = build_index(PointCloud(aligned)).knn_batch(target.points, 1, bound)
     src_bits = (d_src.reshape(-1) <= radius).astype(np.int8)
     tgt_bits = (d_tgt.reshape(-1) <= radius).astype(np.int8)
     return src_bits, tgt_bits

@@ -63,6 +63,14 @@ class TestPointCloud:
         with pytest.raises(ValueError):
             cloud.points[0, 0] = 1.0
 
+    @pytest.mark.parametrize("points", [np.array([["a", "b", "c"]]),
+                                        np.array([[1.0, 2.0, 3.0 + 1e-9j]]),
+                                        [[0.0, 1.0, 2.0], [3.0, 4.0]]],
+                             ids=["strings", "complex", "ragged"])
+    def test_rejects_non_real_points(self, points):
+        with pytest.raises(ValidationError, match="points must be numbers"):
+            PointCloud(points)
+
 
 class TestRigidTransform:
     def test_rejects_non_orthonormal(self):
@@ -72,6 +80,14 @@ class TestRigidTransform:
     def test_rejects_reflection(self):
         with pytest.raises(ValidationError):
             RigidTransform(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
+
+    def test_rejects_complex_rotation_and_translation(self):
+        with pytest.raises(ValidationError, match="rotation must be numbers"):
+            RigidTransform(np.eye(3) + 0j, np.zeros(3))
+        with pytest.raises(ValidationError, match="translation must be numbers"):
+            RigidTransform(np.eye(3), np.array([0.0, 1.0, 2j]))
+        with pytest.raises(ValidationError, match="translation must be numbers"):
+            RigidTransform(np.eye(3), ["0", "1", "2"])
 
     def test_identity(self):
         t = RigidTransform.identity()

@@ -54,6 +54,11 @@ class TestDescriptorSet:
         with pytest.raises(ValidationError):
             DescriptorSet(Level.LOW, np.full((2, 4), 0.6))
 
+    def test_rejects_complex_rows(self):
+        """A complex row of unit modulus is not silently cast to its real part."""
+        with pytest.raises(ValidationError, match="features must be numbers"):
+            DescriptorSet(Level.LOW, np.eye(3) * (0.6 + 0.8j))
+
     def test_accepts_zero_rows(self):
         vec = np.zeros((3, 4))
         vec[0, 0] = 1.0

@@ -120,6 +120,12 @@ class TestMatchFeatures:
         with pytest.raises(ValidationError, match="must be numbers"):
             match_features(np.array([["a", "b"]]), np.eye(2))
 
+    def test_complex_rejected(self):
+        with pytest.raises(ValidationError, match="must be numbers"):
+            match_features(np.eye(2) * 1j, np.eye(2))
+        with pytest.raises(ValidationError, match="must be numbers"):
+            match_features(np.eye(2), np.eye(2) + 0j)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_nonfinite_rows_rejected(self, value):
         with pytest.raises(ValidationError, match="NaN or Inf"):
@@ -198,6 +204,15 @@ class TestWeightedSvd:
         points = [rng.normal(size=(5, 3)), rng.normal(size=(5, 3))]
         points[side][2, 1] = value
         with pytest.raises(ValidationError, match="NaN or Inf"):
+            weighted_svd(*points, np.ones(5))
+
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("bad", [np.array([["a", "b", "c"]] * 5), np.ones((5, 3)) * 1j],
+                             ids=["strings", "complex"])
+    def test_non_real_points_rejected(self, rng, bad, side):
+        points = [rng.normal(size=(5, 3)), rng.normal(size=(5, 3))]
+        points[side] = bad
+        with pytest.raises(ValidationError, match="points must be numbers"):
             weighted_svd(*points, np.ones(5))
 
     def test_output_always_valid_rotation(self, rng):
