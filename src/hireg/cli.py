@@ -301,20 +301,11 @@ def _scalar_circle_loss(f_src, f_tgt, batch, mode, params) -> float:
         if len(pos) == 0 or len(neg) == 0:
             continue
         a = f_src[batch.anchors[slot]]
-        sum_p = 0.0
+        sum_p = sum_n = 0.0  # added one by one, in set order
         for j in pos:
-            d = math.dist(a, f_tgt[j])
-            gap = d - params.positive_margin
-            beta = params.scale if params.weighting == "constant" \
-                else params.scale * max(gap, 0.0)
-            sum_p += math.exp(beta * gap)
-        sum_n = 0.0
-        for kk in neg:
-            d = math.dist(a, f_tgt[kk])
-            gap = params.negative_margin - d
-            beta = params.scale if params.weighting == "constant" \
-                else params.scale * max(gap, 0.0)
-            sum_n += math.exp(beta * gap)
+            sum_p += math.exp(params.scale * (math.dist(a, f_tgt[j]) - params.positive_margin))
+        for k in neg:
+            sum_n += math.exp(params.scale * (params.negative_margin - math.dist(a, f_tgt[k])))
         total += math.log(1.0 + sum_p * sum_n)
         used += 1
     return total / used

@@ -127,11 +127,10 @@ def feature_matrix(features) -> np.ndarray:
     return mat
 
 
-def _adjacency(graph: NeighborGraph, start: int = 0, stop: int | None = None) -> sparse.csr_matrix:
+def _adjacency(graph: NeighborGraph, start: int, stop: int) -> sparse.csr_matrix:
     """Rows ``start:stop`` of the graph as a 0/1 matrix over all N points:
     row ``i`` holds centre ``start + i``'s members."""
     n = len(graph.offsets) - 1
-    stop = n if stop is None else stop
     first, last = graph.offsets[start], graph.offsets[stop]
     return sparse.csr_matrix((np.ones(last - first), graph.indices[first:last],
                               graph.offsets[start:stop + 1] - first), shape=(stop - start, n))
@@ -301,8 +300,8 @@ def _pair_bins(points: np.ndarray, normals: np.ndarray, src: np.ndarray, dst: np
 
 
 def _angular_histograms(points: np.ndarray, normals: np.ndarray, graph: NeighborGraph,
-                        bins: int, full_pairs: bool, rings: int = 1, radius: float = 1.0,
-                        centers: np.ndarray | None = None) -> np.ndarray:
+                        bins: int, full_pairs: bool, rings: int, radius: float,
+                        centers: np.ndarray | None) -> np.ndarray:
     """Histogram of (alpha, phi, theta) pair angles per row of ``graph``.
 
     ``full_pairs`` histograms every ordered pair inside the neighborhood

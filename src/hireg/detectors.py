@@ -18,6 +18,8 @@ from .errors import DegenerateScoreError, ValidationError
 
 # Points whose neighbour descriptor differences one saliency chunk holds.
 _CHUNK_ROWS = 256
+# Query rows of one feature nearest-neighbour block.
+_CHUNK_QUERIES = 128
 # Near-tied (query, candidate reference) pairs whose exact distances one
 # re-decision chunk computes.
 _CHUNK_CANDIDATES = 1 << 12
@@ -130,8 +132,8 @@ def _exact_nearest(queries: np.ndarray, references: np.ndarray, rows: np.ndarray
     return picks
 
 
-def pairwise_feature_nn(queries: np.ndarray, references: np.ndarray,
-                        block: int = 128) -> tuple[np.ndarray, np.ndarray]:
+def pairwise_feature_nn(queries: np.ndarray,
+                        references: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact nearest neighbor in feature space, in query blocks that bound
     memory and run on the worker pool.
 
@@ -140,10 +142,10 @@ def pairwise_feature_nn(queries: np.ndarray, references: np.ndarray,
     ``r2 - 2 q r^T`` in float32 (a row's ``q2`` does not change its order);
     every row whose runner-up lies within ``_tie_band`` of its winner is
     re-decided from exact float64 distances, so the result is the exact
-    nearest reference and does not depend on ``block``. Inputs whose squared
-    norms would overflow float32 run the same steps in float64. A block
-    holds one (block, references) float32 array, and for its near-tied rows
-    a boolean candidate mask.
+    nearest reference and does not depend on the block size,
+    ``_CHUNK_QUERIES``. Inputs whose squared norms would overflow float32 run
+    the same steps in float64. A block holds one (block, references) float32
+    array, and for its near-tied rows a boolean candidate mask.
     """
     q2 = np.einsum("ij,ij->i", queries, queries)
     r2 = np.einsum("ij,ij->i", references, references)
@@ -177,7 +179,7 @@ def pairwise_feature_nn(queries: np.ndarray, references: np.ndarray,
                                            candidates, winners[tied])
         best_idx[start:stop] = winners
 
-    map_chunks(nearest, queries.shape[0], block)
+    map_chunks(nearest, queries.shape[0], _CHUNK_QUERIES)
     diff = queries - references[best_idx]
     return np.sqrt(np.einsum("ij,ij->i", diff, diff)), best_idx
 

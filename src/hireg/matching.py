@@ -81,6 +81,8 @@ class CorrespondenceSet:
             raise ValidationError("pairs and weights lengths differ")
         if not np.isfinite(weights).all() or (weights < 0).any():
             raise ValidationError("weights must be finite and nonnegative")
+        if (pairs < 0).any():
+            raise ValidationError("pair indices must be nonnegative")
         pairs = pairs.copy()
         pairs.setflags(write=False)
         weights = weights.copy()
@@ -91,6 +93,13 @@ class CorrespondenceSet:
 
     def __len__(self) -> int:
         return self.pairs.shape[0]
+
+    def check_indices(self, *sizes: int) -> None:
+        """Raise ``ValidationError`` unless every source index is below
+        ``sizes[0]`` and, if given, every target index below ``sizes[1]``."""
+        for column, (side, size) in enumerate(zip(("source", "target"), sizes)):
+            if len(self) and self.pairs[:, column].max() >= size:
+                raise ValidationError(f"{side} indices must lie in [0, {size})")
 
 
 @dataclass(frozen=True)
@@ -258,6 +267,7 @@ def ransac_transform(source: PointCloud, target: PointCloud,
         raise ValidationError(
             f"need at least sample_size={params.sample_size} pairs, got {n_pairs}"
         )
+    correspondences.check_indices(len(source), len(target))
     src = source.points[correspondences.pairs[:, 0]]
     tgt = target.points[correspondences.pairs[:, 1]]
     rng = np.random.default_rng(seed)
@@ -381,6 +391,7 @@ def select_fine_subset(fine: CorrespondenceSet, low_scores: ScoreSet,
     """
     if not 0 < top_fraction <= 1:
         raise ValidationError("top_fraction must be in (0, 1]")
+    fine.check_indices(len(low_scores))
     scores = low_scores.detection[fine.pairs[:, 0]]
     order = np.lexsort((fine.pairs[:, 0], -scores))
     keep = order[: int(np.ceil(top_fraction * len(fine)))]

@@ -42,6 +42,7 @@ def inlier_ratio(correspondences: CorrespondenceSet, source: PointCloud,
         raise ValidationError("tau must be positive")
     if len(correspondences) == 0:
         return 0.0
+    correspondences.check_indices(len(source), len(target))
     aligned = transform_points(source.points[correspondences.pairs[:, 0]], ground_truth)
     residuals = np.linalg.norm(aligned - target.points[correspondences.pairs[:, 1]], axis=1)
     return float(np.mean(residuals <= tau))

@@ -43,6 +43,14 @@ negative mode) it has seen for its lifetime, so ``circle_loss`` and
 ``matchability_labels`` on the same sets share one pass: about 7 MB per
 global-negative tile at 256 anchors on 5k points. Raw arrays are never
 memoised, as a caller may change them in place.
+
+The loss of ``circle_loss`` and the bits and valid mask of
+``matchability_labels`` take nothing from BLAS, so they do not depend on the
+BLAS thread count either. ``circle_loss``'s gradients do: the weight tile's
+products ``w @ f_tgt`` and ``w.T @ f_anchor`` are BLAS GEMMs, which a
+multi-threaded BLAS splits by its thread count. On a 5k room step the last
+bits of ``grad_source`` differ between ``OPENBLAS_NUM_THREADS=1`` and ``2``;
+``grad_target`` was equal there, which no BLAS promises.
 """
 
 from __future__ import annotations
@@ -95,25 +103,19 @@ class SamplingRadii:
 
 @dataclass(frozen=True)
 class CircleLossParams:
-    """Margins and exponent scale for the contrastive descriptor loss.
-
-    ``weighting`` selects the exponent weight: "constant" uses the plain
-    margin exponent scale * (d - margin); "self_paced" additionally weights
-    each term by its own margin violation, scale * max(0, violation).
-    """
+    """Margins and exponent scale for the contrastive descriptor loss: a
+    positive at distance d has exponent scale * (d - positive_margin), a
+    negative scale * (negative_margin - d)."""
 
     positive_margin: float = 0.1
     negative_margin: float = 1.4
     scale: float = 10.0
-    weighting: str = "constant"
 
     def __post_init__(self):
         if not self.positive_margin < self.negative_margin:
             raise ValidationError("positive_margin must be < negative_margin")
         if not self.scale > 0:
             raise ValidationError("scale must be positive")
-        if self.weighting not in ("constant", "self_paced"):
-            raise ValidationError("weighting must be 'constant' or 'self_paced'")
 
 
 @dataclass(frozen=True)
@@ -224,20 +226,6 @@ class CircleLossResult:
     skipped_anchors: tuple[int, ...]
 
 
-def _exponents(margin_gap: np.ndarray,
-               params: CircleLossParams) -> tuple[np.ndarray, np.ndarray | float]:
-    """Exponent g(x) and derivative g'(x) for a margin gap x; the constant
-    weighting's derivative is the scalar scale.
-
-    Positives use x = d - positive_margin, negatives x = negative_margin - d;
-    in both conventions g must be increasing in x.
-    """
-    if params.weighting == "constant":
-        return params.scale * margin_gap, params.scale
-    relu = np.maximum(margin_gap, 0.0)
-    return params.scale * relu * margin_gap, 2.0 * params.scale * relu
-
-
 def _weights(rows, dl: np.ndarray, d: np.ndarray, out: np.ndarray):
     """``rows``' weight matrix of the per-row loss derivative ``dl``, divided
     by the distance ``d`` into ``out`` (zeros): a row at d == 0 has no
@@ -250,12 +238,12 @@ def _negative_terms(rows, d_n: np.ndarray, sum_p: np.ndarray, params: CircleLoss
     """Per-slot sums of the negative exponentials and the negative weight
     matrix of ``circle_loss`` (see there), written into ``out``. Every step
     is per row or per slot, so a block of slots gets the bits of the whole."""
-    g_n, dg_n = _exponents(params.negative_margin - d_n, params)
+    g_n = params.scale * (params.negative_margin - d_n)
     # g is a fresh array, so exp overwrites it: one fewer temporary per row
     e_n = np.exp(g_n, out=g_n)
     sum_n = rows.sums(e_n)
     # d loss / d d_n,j, with the negative-margin chain's sign flip
-    dl_dn = -rows.per_row(sum_p) * e_n * dg_n / rows.per_row(1.0 + sum_p * sum_n)
+    dl_dn = -rows.per_row(sum_p) * e_n * params.scale / rows.per_row(1.0 + sum_p * sum_n)
     return sum_n, _weights(rows, dl_dn, d_n, out)
 
 
@@ -467,11 +455,16 @@ def _samples(features: tuple, f_src: np.ndarray, f_tgt: np.ndarray,
     return f_anchor, samples
 
 
-def _sample_features(source_features, target_features) -> tuple[np.ndarray, np.ndarray]:
+def _sample_features(source_features, target_features,
+                     batch: SampleBatch) -> tuple[np.ndarray, np.ndarray]:
+    """The feature matrices, checked against each other and ``batch``'s anchors."""
     f_src = feature_matrix(source_features)
     f_tgt = feature_matrix(target_features)
     if f_src.shape[1] != f_tgt.shape[1]:
         raise ValidationError("source/target feature dimensions differ")
+    anchors = batch.anchors
+    if len(anchors) and not 0 <= anchors.min() <= anchors.max() < len(f_src):
+        raise ValidationError(f"anchors must lie in [0, {len(f_src)})")
     return f_src, f_tgt
 
 
@@ -479,11 +472,11 @@ def circle_loss(source_features, target_features, batch: SampleBatch,
                 mode: NegativeMode, params: CircleLossParams) -> CircleLossResult:
     """Contrastive descriptor loss over a sample batch, with exact gradient.
 
-    Per anchor: log(1 + sum_pos exp(g(d - m_p)) * sum_neg exp(g(m_n - d))),
+    Per anchor: log(1 + sum_pos exp(s (d - m_p)) * sum_neg exp(s (m_n - d))),
     averaged over anchors whose positive and selected negative sets are both
     nonempty; anchors lacking either set are skipped and reported.
     """
-    f_src, f_tgt = _sample_features(source_features, target_features)
+    f_src, f_tgt = _sample_features(source_features, target_features, batch)
     if len(batch) == 0:
         raise ValidationError("batch is empty")
     usable = _usable_slots(batch, mode)
@@ -493,7 +486,7 @@ def circle_loss(source_features, target_features, batch: SampleBatch,
     f_anchor, ((pos, d_p), (neg, d_n)) = _samples(
         (source_features, target_features), f_src, f_tgt, batch, mode, slots)
 
-    g_p, dg_p = _exponents(d_p - params.positive_margin, params)
+    g_p = params.scale * (d_p - params.positive_margin)
     e_p = np.exp(g_p, out=g_p)
     sum_p = pos.sums(e_p)
     sum_n, w_n = neg.negative_terms(d_n, sum_p, params)
@@ -502,7 +495,7 @@ def circle_loss(source_features, target_features, batch: SampleBatch,
     total = np.add.accumulate(np.log1p(sum_p * sum_n))[-1]
 
     # d loss / d d_p,j
-    dl_dp = pos.per_row(sum_n) * e_p * dg_p / pos.per_row(1.0 + sum_p * sum_n)
+    dl_dp = pos.per_row(sum_n) * e_p * params.scale / pos.per_row(1.0 + sum_p * sum_n)
     w_p = _weights(pos, dl_dp, d_p, np.zeros_like(d_p))
     # W[s, t] = (d loss / d d) / d per row. d d / d f_a = (f_a - f_t) / d,
     # hence grad_a = rowsum(W) f_a - W f_tgt and grad_t = colsum(W) f_t -
@@ -535,7 +528,7 @@ def matchability_labels(source_features, target_features, batch: SampleBatch,
     anchors with an empty positive or negative set are flagged invalid and
     must be excluded downstream.
     """
-    f_src, f_tgt = _sample_features(source_features, target_features)
+    f_src, f_tgt = _sample_features(source_features, target_features, batch)
     valid = _usable_slots(batch, mode)
     bits = np.zeros(len(batch), dtype=np.int8)
     if not valid.any():

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
-from hireg import NegativeMode, RigidTransform
+from hireg import RigidTransform
 
 
 def axis_angle_rotation(axis, angle: float) -> np.ndarray:
@@ -35,33 +33,6 @@ def random_transform(rng: np.random.Generator,
 def unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     rows = rng.normal(size=(n, dim))
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
-
-
-def scalar_circle_loss(f_src, f_tgt, batch, mode, params) -> float:
-    """Direct python-loop evaluation of the per-anchor contrastive loss."""
-    negatives = batch.global_negatives if mode == NegativeMode.GLOBAL else batch.local_negatives
-    total = 0.0
-    used = 0
-    for slot in range(len(batch)):
-        pos, neg = batch.positives[slot], negatives[slot]
-        if len(pos) == 0 or len(neg) == 0:
-            continue
-        anchor = f_src[batch.anchors[slot]]
-        sum_p = 0.0
-        for j in pos:
-            d = math.dist(anchor, f_tgt[j])
-            gap = d - params.positive_margin
-            beta = params.scale if params.weighting == "constant" else params.scale * max(gap, 0.0)
-            sum_p += math.exp(beta * gap)
-        sum_n = 0.0
-        for k in neg:
-            d = math.dist(anchor, f_tgt[k])
-            gap = params.negative_margin - d
-            beta = params.scale if params.weighting == "constant" else params.scale * max(gap, 0.0)
-            sum_n += math.exp(beta * gap)
-        total += math.log(1.0 + sum_p * sum_n)
-        used += 1
-    return total / used
 
 
 class CountingTree:

@@ -42,13 +42,13 @@ from hireg import (
     translation_error,
     weighted_svd,
 )
-from hireg.cli import main
+from hireg.cli import _scalar_circle_loss, main
 from hireg.detectors import KeypointSet, ScoreSet
 from hireg.matching import Stage
 from hireg.metrics import PairEvaluation
 from hireg import io
 
-from conftest import axis_angle_rotation, random_transform, scalar_circle_loss, unit_rows
+from conftest import axis_angle_rotation, random_transform, unit_rows
 
 
 def report(number: int, name: str, started: float, budget: float) -> None:
@@ -102,7 +102,7 @@ def test_criterion_1_equation_exactness():
         f_tgt = unit_rows(trial_rng, 30, 4)
         mode = NegativeMode.GLOBAL if trial % 2 == 0 else NegativeMode.LOCAL
         got = circle_loss(f_src, f_tgt, batch, mode, params).loss
-        want = scalar_circle_loss(f_src, f_tgt, batch, mode, params)
+        want = _scalar_circle_loss(f_src, f_tgt, batch, mode, params)
         assert abs(got - want) < 1e-10
     report(1, "equation exactness", started, budget=10.0)
 

@@ -70,7 +70,9 @@ class TestFeatureNNTies:
     def _check(self, queries, references):
         want = brute_force_nn(queries, references)
         for block in (1, 128):
-            dist, idx = pairwise_feature_nn(queries, references, block=block)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(detectors, "_CHUNK_QUERIES", block)
+                dist, idx = pairwise_feature_nn(queries, references)
             assert np.array_equal(idx, want[1]), block
             assert np.array_equal(dist, want[0]), block
         return want[1]

@@ -9,12 +9,15 @@ stay bounded by a few chunks per worker.
 from __future__ import annotations
 
 import os
+import pickle
 import signal
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +41,7 @@ from hireg import (
     matchability_labels,
     register,
 )
-from hireg import cloud, descriptors
+from hireg import cloud, descriptors, detectors
 from hireg.cloud import transform_points
 from hireg.detectors import pairwise_feature_nn, score_overlap_heuristic, score_saliency
 from hireg.training import _TILE_SLOTS, _FlatSets, _TileSets
@@ -47,6 +50,22 @@ from conftest import register_arrays
 
 _TIMEOUT_S = 300
 _MIB = 2 ** 20
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+# Reads a pickled (batch, f_src, f_tgt) and saves both modes' loss, label
+# bits and valid mask.
+_LOSSES_AND_LABELS = """
+import pickle, sys
+import numpy as np
+from hireg import CircleLossParams, NegativeMode, circle_loss, matchability_labels
+with open(sys.argv[1], "rb") as fh:
+    batch, f_src, f_tgt = pickle.load(fh)
+out = {}
+for mode in NegativeMode:
+    out[mode.value + "_loss"] = circle_loss(f_src, f_tgt, batch, mode, CircleLossParams()).loss
+    out[mode.value + "_bits"], out[mode.value + "_valid"] = matchability_labels(
+        f_src, f_tgt, batch, mode)
+np.savez(sys.argv[2], **out)
+"""
 
 
 def _kernel_outputs(scene) -> dict:
@@ -65,7 +84,7 @@ def _kernel_outputs(scene) -> dict:
         out[f"{side}_saliency"] = score_saliency(pc, low, index, 24)
         out[f"{side}_knn"] = index.knn_batch(pc.points, 25)[1]
     out["overlap"] = score_overlap_heuristic(high["src"], high["tgt"])
-    out["nn"] = pairwise_feature_nn(high["tgt"].vectors, high["src"].vectors, block=100)[1]
+    out["nn"] = pairwise_feature_nn(high["tgt"].vectors, high["src"].vectors)[1]
     return out
 
 
@@ -162,13 +181,12 @@ class TestWorkerCount:
         assert cells.shape == (len(batch), len(f_tgt))
         assert np.array_equal(cells[flat[2].slots, flat[2].targets], global_rows)
 
-    @pytest.mark.parametrize("weighting", ["constant", "self_paced"])
-    def test_global_pass_does_not_depend_on_workers(self, room_batch, monkeypatch, weighting):
+    @pytest.mark.parametrize("params", [CircleLossParams()], ids=["constant"])
+    def test_global_pass_does_not_depend_on_workers(self, room_batch, monkeypatch, params):
         """The blocked global-negative loss and labels of a 5k room batch:
         inline, on a 1-worker and on a 3-worker pool, the loss, the label
         bits and the gradients have the same bits."""
         batch, f_src, f_tgt = room_batch
-        params = CircleLossParams(weighting=weighting)
 
         def global_pass():
             result = circle_loss(f_src, f_tgt, batch, NegativeMode.GLOBAL, params)
@@ -182,6 +200,27 @@ class TestWorkerCount:
                 assert a.dtype == b.dtype and np.array_equal(a, b)
         bits, valid = results[0][3:5]
         assert valid.all() and 0 < bits.sum() < len(bits)
+
+    def test_losses_and_labels_do_not_depend_on_blas_threads(self, room_batch, tmp_path):
+        """One saved 5k room batch, read by a process on a one-thread and by
+        one on a two-thread BLAS: both modes' losses, label bits and valid
+        masks have the same bits. The gradients may not: their tile products
+        are BLAS GEMMs, which a BLAS splits by its thread count."""
+        saved = tmp_path / "batch.pkl"
+        saved.write_bytes(pickle.dumps(room_batch))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}.npz"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=_SRC)
+            subprocess.run([sys.executable, "-c", _LOSSES_AND_LABELS, str(saved), str(out)],
+                           env=env, check=True, timeout=_TIMEOUT_S)
+            with np.load(out) as arrays:
+                outputs.append(dict(arrays))
+        one, two = outputs
+        assert one.keys() == two.keys() and len(one) == 6
+        for key in one:
+            assert one[key].dtype == two[key].dtype and np.array_equal(one[key], two[key]), key
+        assert 0 < one["global_bits"].sum() < len(one["global_bits"])
 
     def test_low_does_not_depend_on_triple_budget(self, monkeypatch):
         """The dense cluster of the descriptor equivalence tests, whose
@@ -201,13 +240,14 @@ class TestWorkerCount:
             got = compute_descriptors(pc, Level.LOW, params).vectors
             assert np.array_equal(got, expected), budget
 
-    def test_feature_nn_does_not_depend_on_block(self, scene):
+    def test_feature_nn_does_not_depend_on_block(self, scene, monkeypatch):
         params = DescriptorParams()
         src, tgt = (compute_descriptors(pc, Level.HIGH, params).vectors
                     for pc in (scene.source, scene.target))
         dist, idx = pairwise_feature_nn(src, tgt)
         for block in (1, 100, 1024, len(src)):
-            got_dist, got_idx = pairwise_feature_nn(src, tgt, block=block)
+            monkeypatch.setattr(detectors, "_CHUNK_QUERIES", block)
+            got_dist, got_idx = pairwise_feature_nn(src, tgt)
             assert np.array_equal(got_idx, idx) and np.array_equal(got_dist, dist), block
 
 

@@ -296,6 +296,16 @@ class TestRansac:
         with pytest.raises(ValidationError):
             ransac_transform(src, src, corr, RansacParams(), seed=0)
 
+    @pytest.mark.parametrize("column, side", [(0, "source"), (1, "target")],
+                             ids=["source", "target"])
+    def test_index_past_cloud_rejected(self, rng, column, side):
+        src, tgt, corr, _ = consensus_problem(rng)
+        pairs = corr.pairs.copy()
+        pairs[-1, column] = len(src)
+        corr = CorrespondenceSet(pairs, corr.weights, Stage.COARSE)
+        with pytest.raises(ValidationError, match=f"{side} indices must lie in \\[0, 100\\)"):
+            ransac_transform(src, tgt, corr, RansacParams(max_iterations=10), seed=0)
+
 
 class TestLocalCellMatch:
     def test_single_point_cells(self):
@@ -413,6 +423,11 @@ class TestSelectFineSubset:
         fine = CorrespondenceSet(np.array([[0, 0]]), np.ones(1), Stage.FINE)
         with pytest.raises(ValidationError):
             select_fine_subset(fine, self._scores([1.0]), 0.0)
+
+    def test_index_past_scores_rejected(self):
+        fine = CorrespondenceSet(np.array([[0, 0], [4, 1]]), np.ones(2), Stage.FINE)
+        with pytest.raises(ValidationError, match=r"source indices must lie in \[0, 4\)"):
+            select_fine_subset(fine, self._scores([0.5] * 4), 0.5)
 
 
 _DESCRIBE_PARAMS = {

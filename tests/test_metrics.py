@@ -140,6 +140,19 @@ class TestInlierRatio:
         ratio = inlier_ratio(corr, src, PointCloud(tgt_pts), gt, tau=0.1)
         assert ratio == pytest.approx(k / 10)
 
+    def test_negative_index_rejected(self, rng):
+        # Once read as the last point: (-1, 9) on an identity pair gave 1.0.
+        with pytest.raises(ValidationError, match="nonnegative"):
+            CorrespondenceSet(np.array([[-1, 9]]), np.ones(1), Stage.FINE)
+
+    @pytest.mark.parametrize("pair, side", [((10, 0), "source"), ((0, 10), "target")],
+                             ids=["source", "target"])
+    def test_index_past_cloud_rejected(self, rng, pair, side):
+        src = PointCloud(rng.uniform(0, 1, size=(10, 3)))
+        corr = CorrespondenceSet(np.array([pair]), np.ones(1), Stage.FINE)
+        with pytest.raises(ValidationError, match=rf"{side} indices must lie in \[0, 10\)"):
+            inlier_ratio(corr, src, src, RigidTransform.identity())
+
     def test_empty_is_zero(self, rng):
         src = PointCloud(rng.uniform(0, 1, size=(5, 3)))
         corr = CorrespondenceSet(np.empty((0, 2)), np.empty(0), Stage.FINE)

@@ -1,8 +1,9 @@
 """Supervision math: sampling geometry, losses, labels, rankings, gradients.
 
-Loss values are cross-checked against plain-python scalar loops and
-gradients against central finite differences; both oracles live here and
-share no code with the implementation.
+Loss values are cross-checked against plain-python scalar loops (the
+contrastive loss against ``hireg.cli._scalar_circle_loss``, which ``hireg
+losscheck`` runs) and gradients against central finite differences; no
+oracle shares code with the implementation.
 """
 
 import math
@@ -34,9 +35,10 @@ from hireg import (
     total_loss,
 )
 from hireg import training
+from hireg.cli import _scalar_circle_loss
 from hireg.training import CircleLossResult
 
-from conftest import random_transform, scalar_circle_loss, unit_rows
+from conftest import random_transform, unit_rows
 from test_training_equivalence import _assert_circle_matches, _assert_labels_match
 
 
@@ -171,11 +173,9 @@ class TestCircleLoss:
         params = CircleLossParams()
         f_src = np.array([[0.0]])
         f_tgt = np.array([[params.positive_margin], [params.negative_margin]])
-        for weighting in ("constant", "self_paced"):
-            p = CircleLossParams(weighting=weighting)
-            result = circle_loss(f_src, f_tgt, self._one_anchor_batch(),
-                                 NegativeMode.GLOBAL, p)
-            assert result.loss == pytest.approx(math.log(2.0), abs=1e-12)
+        result = circle_loss(f_src, f_tgt, self._one_anchor_batch(),
+                             NegativeMode.GLOBAL, params)
+        assert result.loss == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_perfectly_separated_limit(self):
         f_src = np.array([[0.0]])
@@ -184,22 +184,24 @@ class TestCircleLoss:
                              NegativeMode.GLOBAL, CircleLossParams())
         assert result.loss < 1e-3
 
-    @pytest.mark.parametrize("weighting", ["constant", "self_paced"])
-    @pytest.mark.parametrize("mode", [NegativeMode.GLOBAL, NegativeMode.LOCAL])
-    def test_matches_scalar_loop(self, rng, weighting, mode):
-        params = CircleLossParams(weighting=weighting)
+    # "-constant" in each id names the exponent: the constant scale times
+    # the margin gap.
+    @pytest.mark.parametrize("mode", [NegativeMode.GLOBAL, NegativeMode.LOCAL],
+                             ids=["global-constant", "local-constant"])
+    def test_matches_scalar_loop(self, rng, mode):
+        params = CircleLossParams()
         for _ in range(10):
             batch = make_batch(rng)
             f_src = unit_rows(rng, 8, 4)
             f_tgt = unit_rows(rng, 40, 4)
             result = circle_loss(f_src, f_tgt, batch, mode, params)
-            expected = scalar_circle_loss(f_src, f_tgt, batch, mode, params)
+            expected = _scalar_circle_loss(f_src, f_tgt, batch, mode, params)
             assert result.loss == pytest.approx(expected, abs=1e-10)
 
-    @pytest.mark.parametrize("weighting", ["constant", "self_paced"])
-    @pytest.mark.parametrize("mode", [NegativeMode.GLOBAL, NegativeMode.LOCAL])
-    def test_gradient_matches_finite_differences(self, rng, weighting, mode):
-        params = CircleLossParams(weighting=weighting)
+    @pytest.mark.parametrize("mode", [NegativeMode.GLOBAL, NegativeMode.LOCAL],
+                             ids=["global-constant", "local-constant"])
+    def test_gradient_matches_finite_differences(self, rng, mode):
+        params = CircleLossParams()
         batch = make_batch(rng)
         f_src = unit_rows(rng, 8, 4)
         f_tgt = unit_rows(rng, 40, 4)
@@ -275,6 +277,32 @@ class TestCircleLoss:
         with pytest.raises(DegenerateBatchError):
             circle_loss(np.zeros((1, 2)), np.zeros((1, 2)), batch,
                         NegativeMode.GLOBAL, CircleLossParams())
+
+
+class TestAnchorBounds:
+    """A batch anchor outside the source features' rows is rejected where
+    the features are read, as a negative one once read a row from the end."""
+
+    @staticmethod
+    def _case(rng, anchor):
+        batch = make_batch(rng)
+        anchors = batch.anchors.copy()
+        anchors[3] = anchor
+        return unit_rows(rng, 8, 4), unit_rows(rng, 40, 4), replace(batch, anchors=anchors)
+
+    @pytest.mark.parametrize("anchor", [-1, 8])
+    def test_circle_loss(self, rng, anchor):
+        f_src, f_tgt, batch = self._case(rng, anchor)
+        for mode in NegativeMode:
+            with pytest.raises(ValidationError, match=r"anchors must lie in \[0, 8\)"):
+                circle_loss(f_src, f_tgt, batch, mode, CircleLossParams())
+
+    @pytest.mark.parametrize("anchor", [-1, 8])
+    def test_matchability_labels(self, rng, anchor):
+        f_src, f_tgt, batch = self._case(rng, anchor)
+        for mode in NegativeMode:
+            with pytest.raises(ValidationError, match=r"anchors must lie in \[0, 8\)"):
+                matchability_labels(f_src, f_tgt, batch, mode)
 
 
 class TestMatchability:
@@ -497,11 +525,10 @@ class TestGlobalTile:
             requested=5, eligible=5)
         return f_src, f_tgt, batch
 
-    @pytest.mark.parametrize("weighting", ["constant", "self_paced"])
-    def test_crafted_batch_matches_reference(self, tile_passes, weighting):
+    @pytest.mark.parametrize("params", [CircleLossParams()], ids=["constant"])
+    def test_crafted_batch_matches_reference(self, tile_passes, params):
         f_src, f_tgt, batch = self._crafted()
-        result = _assert_circle_matches(f_src, f_tgt, batch, NegativeMode.GLOBAL,
-                                        CircleLossParams(weighting=weighting))
+        result = _assert_circle_matches(f_src, f_tgt, batch, NegativeMode.GLOBAL, params)
         assert tile_passes[0] == 1
         assert result.skipped_anchors == (1,) and result.used_anchors == 4
         assert np.isfinite(result.grad_source).all() and np.isfinite(result.grad_target).all()
@@ -509,9 +536,8 @@ class TestGlobalTile:
         assert valid.tolist() == [True, False, True, True, True]
         assert bits[3] == 0  # its closest global negative is at distance 0
 
-    @pytest.mark.parametrize("weighting", ["constant", "self_paced"])
-    def test_random_unsorted_repeated_sets_match_reference(self, rng, weighting):
-        params = CircleLossParams(weighting=weighting)
+    @pytest.mark.parametrize("params", [CircleLossParams()], ids=["constant"])
+    def test_random_unsorted_repeated_sets_match_reference(self, rng, params):
         for _ in range(5):
             batch = make_batch(rng, n_anchor=6)
             # 20-39 draws with replacement from 40 targets, in drawn order

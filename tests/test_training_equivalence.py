@@ -30,7 +30,7 @@ from hireg import (
 )
 from hireg.cloud import transform_points
 from hireg.errors import DegenerateBatchError
-from hireg.training import CircleLossResult, _exponents
+from hireg.training import CircleLossResult
 
 _GRAD_RTOL = 1e-12
 
@@ -79,17 +79,15 @@ def _ref_circle_loss(f_src, f_tgt, batch, mode, params):
         diff_n = a - f_tgt[neg]
         d_p = np.linalg.norm(diff_p, axis=1)
         d_n = np.linalg.norm(diff_n, axis=1)
-        g_p, dg_p = _exponents(d_p - params.positive_margin, params)
-        g_n, dg_n = _exponents(params.negative_margin - d_n, params)
-        e_p = np.exp(g_p)
-        e_n = np.exp(g_n)
+        e_p = np.exp(params.scale * (d_p - params.positive_margin))
+        e_n = np.exp(params.scale * (params.negative_margin - d_n))
         sum_p = e_p.sum()
         sum_n = e_n.sum()
         total += np.log1p(sum_p * sum_n)
         used += 1
         denom = 1.0 + sum_p * sum_n
-        dl_dp = sum_n * e_p * dg_p / denom
-        dl_dn = -sum_p * e_n * dg_n / denom
+        dl_dp = sum_n * e_p * params.scale / denom
+        dl_dn = -sum_p * e_n * params.scale / denom
         u_p = np.where(d_p[:, None] > 0, diff_p / np.maximum(d_p, 1e-300)[:, None], 0.0)
         u_n = np.where(d_n[:, None] > 0, diff_n / np.maximum(d_n, 1e-300)[:, None], 0.0)
         grad_src[anchor] += dl_dp @ u_p + dl_dn @ u_n
@@ -187,13 +185,15 @@ def test_sample_batch_with_fewer_eligible_than_requested_matches_reference():
     _assert_batches_equal(batch, _ref_build_sample_batch(*args))
 
 
-@pytest.mark.parametrize("weighting", ["constant", "self_paced"])
+# The "-constant" in each id names the exponent: the constant scale times
+# the margin gap.
 @pytest.mark.parametrize("level, mode", [(Level.HIGH, NegativeMode.GLOBAL),
-                                         (Level.LOW, NegativeMode.LOCAL)])
-def test_room_circle_loss_matches_reference(room, level, mode, weighting):
+                                         (Level.LOW, NegativeMode.LOCAL)],
+                         ids=["high-global-constant", "low-local-constant"])
+def test_room_circle_loss_matches_reference(room, level, mode):
     _, features, batch = room
     result = _assert_circle_matches(features["src", level], features["tgt", level], batch,
-                                    mode, CircleLossParams(weighting=weighting))
+                                    mode, CircleLossParams())
     assert result.used_anchors > 0
 
 
@@ -246,12 +246,11 @@ def crafted():
     return f_src, f_tgt, batch
 
 
-@pytest.mark.parametrize("weighting", ["constant", "self_paced"])
-@pytest.mark.parametrize("mode", [NegativeMode.GLOBAL, NegativeMode.LOCAL])
-def test_crafted_batch_circle_loss_matches_reference(crafted, mode, weighting):
+@pytest.mark.parametrize("mode", [NegativeMode.GLOBAL, NegativeMode.LOCAL],
+                         ids=["global-constant", "local-constant"])
+def test_crafted_batch_circle_loss_matches_reference(crafted, mode):
     f_src, f_tgt, batch = crafted
-    result = _assert_circle_matches(f_src, f_tgt, batch, mode,
-                                    CircleLossParams(weighting=weighting))
+    result = _assert_circle_matches(f_src, f_tgt, batch, mode, CircleLossParams())
     # slot 2 has no positives; slot 3 no local and slot 4 no global negatives
     skipped = (3, 0) if mode == NegativeMode.LOCAL else (3, 5)
     assert result.skipped_anchors == skipped
