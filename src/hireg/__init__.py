@@ -40,10 +40,13 @@ from .matching import (
     RansacParams,
     RegistrationResult,
     Stage,
+    coarse,
+    describe,
     describe_cloud,
     local_cell_match,
     match_features,
     ransac_transform,
+    refine,
     register,
     select_fine_subset,
     weighted_svd,

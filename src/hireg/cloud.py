@@ -7,7 +7,7 @@ and one self k-NN per k, pure functions of (cloud, radius) and (cloud, k):
 threads racing on a key build equal results, and either may be kept. An
 entry lives as long as its index unless ``keep_graphs`` releases it; a
 released graph stays valid for whoever holds it, and a later query at its
-radius builds it again. ``describe_cloud`` keeps only the low-radius graph
+radius builds it again. ``describe`` keeps only the low-radius graph
 once the high-level descriptors are done, since matching reads no other.
 Distances are Euclidean, radii are meters, radius queries use closed balls
 (boundary points included). A graph keeps no distances: ``member_distances``

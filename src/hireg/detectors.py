@@ -62,15 +62,13 @@ class ScoreSet:
 
 @dataclass(frozen=True)
 class KeypointSet:
-    """Distinct point indices sampled at one level with a known seed.
+    """Distinct sampled point indices.
 
     ``shortfall`` counts how many requested draws could not be served because
     too few points had positive detection scores.
     """
 
     indices: np.ndarray
-    level: Level
-    sample_seed: int
     shortfall: int = 0
 
     def __post_init__(self):
@@ -80,7 +78,6 @@ class KeypointSet:
         idx = idx.copy()
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "level", Level(self.level))
 
     def __len__(self) -> int:
         return self.indices.shape[0]
@@ -258,8 +255,7 @@ def sample_keypoints(scores: ScoreSet, n: int, seed: int) -> KeypointSet:
     if positive.size == 0:
         raise DegenerateScoreError("all detection scores are zero")
     if positive.size <= n:
-        return KeypointSet(indices=positive, level=scores.level,
-                           sample_seed=seed, shortfall=n - positive.size)
+        return KeypointSet(indices=positive, shortfall=n - positive.size)
     rng = np.random.default_rng(seed)
     u = 1.0 - rng.random(positive.size)  # in (0, 1]
     with np.errstate(over="ignore"):
@@ -267,5 +263,4 @@ def sample_keypoints(scores: ScoreSet, n: int, seed: int) -> KeypointSet:
         # those points last
         keys = np.log(u) / weights[positive]
     order = np.argsort(-keys, kind="stable")
-    return KeypointSet(indices=positive[order[:n]], level=scores.level,
-                       sample_seed=seed, shortfall=0)
+    return KeypointSet(indices=positive[order[:n]], shortfall=0)

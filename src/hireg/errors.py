@@ -14,8 +14,6 @@ class ValidationError(ValueError):
 class NoCorrespondenceError(RuntimeError):
     """Two clouds share no usable overlap under the given transform."""
 
-    stage: str | None = None
-
 
 class NoConsensusError(RuntimeError):
     """Robust estimation found no consensus set; carries best-effort stats."""

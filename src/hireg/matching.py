@@ -1,13 +1,12 @@
 """Global-to-local correspondence matching and rigid estimation.
 
-Coarse correspondences come from mutual nearest-neighbor matching of
-high-level descriptors at sampled keypoints, made robust by RANSAC. Fine
-correspondences are mutual matches of low-level descriptors inside local
-cells around each coarse inlier pair; a score-ranked subset of them feeds a
-weighted SVD for the final transform. Only the cells read the target's
-low-level descriptors, so ``register`` computes them after RANSAC, for the
-union of the cells' members alone; each row has the bits of the
-whole-cloud row.
+``register`` composes three stages. ``describe`` gives one cloud's index,
+normals and high-level descriptors. ``coarse`` matches high-level
+descriptors at sampled keypoints mutually and runs RANSAC. ``refine``
+matches low-level descriptors mutually inside local cells around each
+coarse inlier pair and fits a weighted SVD to their score-ranked subset;
+it computes the target's low level for the cells' members alone, each row
+with the bits of the whole-cloud row.
 
 RANSAC draws one minimal sample per iteration, in iteration order, and fits
 and scores ``_RANSAC_BLOCK`` of them at a time with stacked SVDs and one
@@ -75,7 +74,10 @@ class CorrespondenceSet:
     stage: Stage
 
     def __post_init__(self):
-        pairs = np.asarray(self.pairs, dtype=np.intp).reshape(-1, 2)
+        pairs = np.asarray(self.pairs)
+        if pairs.size and pairs.dtype.kind not in "iu":
+            raise ValidationError("pair indices must be integers")
+        pairs = pairs.astype(np.intp, copy=False).reshape(-1, 2)
         weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
         if pairs.shape[0] != weights.shape[0]:
             raise ValidationError("pairs and weights lengths differ")
@@ -141,28 +143,52 @@ class RegistrationResult:
     target_keypoints: KeypointSet
 
 
-def _describe_high(cloud: PointCloud, params: DescriptorParams
-                   ) -> tuple[SpatialIndex, np.ndarray, DescriptorSet]:
-    """The index, the normals and the high-level descriptors of one cloud;
-    the index then memoises at most the low-radius graph."""
+@dataclass(frozen=True)
+class CloudDescription:
+    """One cloud's index (which holds the cloud), normals and HIGH set."""
+
+    index: SpatialIndex
+    normals: np.ndarray
+    high: DescriptorSet
+
+
+@dataclass(frozen=True)
+class CoarseMatch:
+    """RANSAC over the keypoint matches, plus the source overlap its LOW shares."""
+
+    transform: RigidTransform
+    correspondences: CorrespondenceSet
+    inlier_mask: np.ndarray
+    iterations: int
+    source_keypoints: KeypointSet
+    target_keypoints: KeypointSet
+    source_overlap: np.ndarray
+    timings_ms: dict[str, float]
+
+
+def _lap(timings: dict[str, float], name: str, since: float) -> float:
+    """Record the milliseconds since ``since`` under ``name``; returns now."""
+    now = time.perf_counter()
+    timings[name] = (now - since) * 1e3
+    return now
+
+
+def describe(cloud: PointCloud, params: DescriptorParams) -> CloudDescription:
+    """One cloud's index, normals and HIGH set. The index then keeps only
+    the low-radius graph, whose rows are the cells of ``local_cell_match``."""
     index = build_index(cloud)
     normals = estimate_normals(cloud, params.normal_radius, index=index)
     high = compute_descriptors(cloud, Level.HIGH, params, normals, index)
     index.keep_graphs(params.low_radius)
-    return index, normals, high
+    return CloudDescription(index, normals, high)
 
 
 def describe_cloud(cloud: PointCloud, params: DescriptorParams
                    ) -> tuple[SpatialIndex, DescriptorSet, DescriptorSet]:
-    """The index and the (low, high) descriptors of one cloud.
-
-    The normals are estimated once and shared by both levels. The returned
-    index memoises only the low-radius graph, whose rows are the cells of
-    ``local_cell_match``; the wide-field and normal graphs are released once
-    the descriptors no longer need them.
-    """
-    index, normals, high = _describe_high(cloud, params)
-    return index, compute_descriptors(cloud, Level.LOW, params, normals, index), high
+    """``describe``'s index and HIGH set, plus the LOW set from its normals."""
+    described = describe(cloud, params)
+    low = compute_descriptors(cloud, Level.LOW, params, described.normals, described.index)
+    return described.index, low, described.high
 
 
 def match_features(source_descriptors: DescriptorSet | np.ndarray,
@@ -350,7 +376,7 @@ def local_cell_match(source_index: SpatialIndex, target_index: SpatialIndex,
     Cells are closed balls of ``cell_radius`` around the pair's endpoints,
     read as rows of each index's memoised neighbour graph; a cell always
     holds its own endpoint. Weights are 1: ``select_fine_subset`` weights
-    the pairs it keeps. ``register`` passes the low-level radius, whose graph
+    the pairs it keeps. ``refine`` passes the low-level radius, whose graph
     the descriptors already built; at a radius nothing else uses, the first
     call builds a whole-cloud graph at that radius.
 
@@ -398,122 +424,103 @@ def select_fine_subset(fine: CorrespondenceSet, low_scores: ScoreSet,
     return CorrespondenceSet(fine.pairs[keep], scores[keep], Stage.FINE)
 
 
-def _stage_error(exc, stage: Stage):
-    exc.stage = stage.value
-    message = f"{stage.value} stage: {exc}"
-    exc.args = (message,) + exc.args[1:]
-    return exc
+def coarse(source: CloudDescription, target: CloudDescription, config: "RunConfig") -> CoarseMatch:
+    """Scores of both HIGH sets, keypoints sampled by them, their mutual
+    HIGH matches and RANSAC. Overlap is judged at the global receptive field."""
+    tick = time.perf_counter()
+    timings: dict[str, float] = {}
+    k = config.detector.saliency_k
+    src_cloud, tgt_cloud = source.index.cloud, target.index.cloud
+    src_overlap = score_overlap_heuristic(source.high, target.high)
+    src_scores = ScoreSet(Level.HIGH, score_saliency(src_cloud, source.high, source.index, k),
+                          src_overlap)
+    tgt_scores = ScoreSet(Level.HIGH, score_saliency(tgt_cloud, target.high, target.index, k),
+                          score_overlap_heuristic(target.high, source.high))
+    tick = _lap(timings, "scores_ms", tick)
+
+    kp_src = sample_keypoints(src_scores, config.detector.coarse_samples, config.seed + 1)
+    kp_tgt = sample_keypoints(tgt_scores, config.detector.coarse_samples, config.seed + 2)
+    local = match_features(source.high.vectors[kp_src.indices],
+                           target.high.vectors[kp_tgt.indices])
+    pairs = np.column_stack([kp_src.indices[local.pairs[:, 0]],
+                             kp_tgt.indices[local.pairs[:, 1]]])
+    matches = CorrespondenceSet(pairs, local.weights, Stage.COARSE)
+    tick = _lap(timings, "coarse_match_ms", tick)
+
+    if len(matches) < config.ransac.sample_size:
+        raise NoConsensusError(f"only {len(matches)} coarse matches")
+    transform, inlier_mask, iterations = ransac_transform(
+        src_cloud, tgt_cloud, matches, config.ransac, config.seed + 3)
+    _lap(timings, "ransac_ms", tick)
+    return CoarseMatch(transform, matches, inlier_mask, iterations, kp_src, kp_tgt,
+                       src_overlap, timings)
+
+
+def refine(source: CloudDescription, target: CloudDescription, matched: CoarseMatch,
+           config: "RunConfig") -> tuple[RigidTransform, CorrespondenceSet, dict[str, float]]:
+    """The fine transform, correspondences and timings. The target LOW is computed for the
+    cells' members alone (rows of the low-radius graph at the coarse inliers)."""
+    tick = time.perf_counter()
+    timings: dict[str, float] = {}
+    params = config.descriptor
+    src_cloud, tgt_cloud = source.index.cloud, target.index.cloud
+    src_low = compute_descriptors(src_cloud, Level.LOW, params, source.normals, source.index)
+    src_low_scores = ScoreSet(Level.LOW, score_saliency(src_cloud, src_low, source.index,
+                                                        config.detector.saliency_k),
+                              matched.source_overlap)
+    inliers = matched.correspondences.pairs[matched.inlier_mask]
+    members = np.unique(target.index.neighbor_graph(params.low_radius)
+                        .rows(inliers[:, 1]).indices)
+    tgt_low = compute_descriptors(tgt_cloud, Level.LOW, params, target.normals,
+                                  target.index, centers=members)
+    cells = [local_cell_match(source.index, target.index, (src_anchor, tgt_anchor), src_low,
+                              tgt_low, params.low_radius, target_rows=members).pairs
+             for src_anchor, tgt_anchor in inliers]
+    # Overlapping cells repeat pairs; keep one of each, in (source, target) order.
+    all_pairs = np.unique(np.concatenate([np.empty((0, 2), dtype=np.intp), *cells]), axis=0)
+    fine = select_fine_subset(CorrespondenceSet(all_pairs, np.ones(len(all_pairs)), Stage.FINE),
+                              src_low_scores, config.matching.top_fraction)
+    # the subset is already ordered by descending weight, ties by source index
+    cap = config.detector.fine_samples
+    fine = CorrespondenceSet(fine.pairs[:cap], fine.weights[:cap], Stage.FINE)
+    tick = _lap(timings, "fine_match_ms", tick)
+
+    if len(fine) < 3:
+        raise DegenerateGeometryError(f"only {len(fine)} fine correspondences")
+    if not fine.weights.any():
+        raise DegenerateGeometryError(f"all {len(fine)} fine correspondences have zero weight")
+    transform = weighted_svd(src_cloud.points[fine.pairs[:, 0]],
+                             tgt_cloud.points[fine.pairs[:, 1]], fine.weights)
+    _lap(timings, "svd_ms", tick)
+    return transform, fine, timings
 
 
 def register(source: PointCloud, target: PointCloud,
              config: "RunConfig | None" = None) -> RegistrationResult:
-    """Full global-to-local registration of ``source`` onto ``target``.
-
-    Pipeline: source descriptors at both levels, target descriptors at the
-    high level -> detector scores -> high-level keypoint sampling -> mutual
-    feature matching -> RANSAC coarse transform -> target low-level
-    descriptors of the cells' members -> low-level matching in cells around
-    coarse inliers -> score-ranked subset -> weighted SVD. Deterministic
-    given (inputs, config). ``timings_ms["fine_match_ms"]`` includes the
-    target's low-level descriptors.
-    """
+    """Global-to-local registration of ``source`` onto ``target``: ``describe``
+    each cloud, then ``coarse``, then ``refine``; deterministic given (inputs,
+    config). A stage's ``NoConsensusError`` or ``DegenerateGeometryError``
+    carries its name in ``stage`` and at the head of its message."""
     if config is None:
         from .config import RunConfig
         config = RunConfig()
     if len(source) < 1 or len(target) < 1:
         raise ValidationError("both clouds must be nonempty")
-
-    timings: dict[str, float] = {}
     t_start = time.perf_counter()
-
-    tick = time.perf_counter()
-    src_index, src_low, src_high = describe_cloud(source, config.descriptor)
-    # Only the fine cells read the target's low level, so it is computed
-    # there, for the cells' members alone.
-    tgt_index, tgt_normals, tgt_high = _describe_high(target, config.descriptor)
-    timings["descriptors_ms"] = (time.perf_counter() - tick) * 1e3
-
-    tick = time.perf_counter()
-    k = config.detector.saliency_k
-    # Overlap is a property of the cloud pair, judged best at the global
-    # receptive field; the source's two levels share its high-level overlap.
-    # Keypoints read both HIGH sets and fine weighting the source LOW set, so
-    # the target LOW set is never scored.
-    src_overlap = score_overlap_heuristic(src_high, tgt_high)
-    src_low_scores = ScoreSet(Level.LOW, score_saliency(source, src_low, src_index, k),
-                              src_overlap)
-    src_high_scores = ScoreSet(Level.HIGH, score_saliency(source, src_high, src_index, k),
-                               src_overlap)
-    tgt_high_scores = ScoreSet(Level.HIGH, score_saliency(target, tgt_high, tgt_index, k),
-                               score_overlap_heuristic(tgt_high, src_high))
-    timings["scores_ms"] = (time.perf_counter() - tick) * 1e3
-
-    tick = time.perf_counter()
-    kp_src = sample_keypoints(src_high_scores, config.detector.coarse_samples, config.seed + 1)
-    kp_tgt = sample_keypoints(tgt_high_scores, config.detector.coarse_samples, config.seed + 2)
-    local = match_features(src_high.vectors[kp_src.indices], tgt_high.vectors[kp_tgt.indices])
-    coarse = CorrespondenceSet(
-        np.column_stack([kp_src.indices[local.pairs[:, 0]],
-                         kp_tgt.indices[local.pairs[:, 1]]]),
-        local.weights, Stage.COARSE)
-    timings["coarse_match_ms"] = (time.perf_counter() - tick) * 1e3
-
-    tick = time.perf_counter()
-    if len(coarse) < config.ransac.sample_size:
-        raise _stage_error(NoConsensusError(
-            f"only {len(coarse)} coarse matches", best_inliers=0, iterations=0,
-        ), Stage.COARSE)
+    src = describe(source, config.descriptor)
+    tgt = describe(target, config.descriptor)
+    timings = {"descriptors_ms": (time.perf_counter() - t_start) * 1e3}
+    stage = Stage.COARSE
     try:
-        coarse_transform, inlier_mask, iterations = ransac_transform(
-            source, target, coarse, config.ransac, config.seed + 3)
+        matched = coarse(src, tgt, config)
+        stage = Stage.FINE
+        transform, fine, fine_timings = refine(src, tgt, matched, config)
     except (NoConsensusError, DegenerateGeometryError) as exc:
-        raise _stage_error(exc, Stage.COARSE)
-    timings["ransac_ms"] = (time.perf_counter() - tick) * 1e3
-
-    tick = time.perf_counter()
-    # A cell is the low-level receptive field: a row of the low-radius graph.
-    inliers = coarse.pairs[inlier_mask]
-    members = np.unique(tgt_index.neighbor_graph(config.descriptor.low_radius)
-                        .rows(inliers[:, 1]).indices)
-    tgt_low = compute_descriptors(target, Level.LOW, config.descriptor, tgt_normals,
-                                  tgt_index, centers=members)
-    cells = [local_cell_match(src_index, tgt_index, (src_anchor, tgt_anchor), src_low, tgt_low,
-                              config.descriptor.low_radius, target_rows=members).pairs
-             for src_anchor, tgt_anchor in inliers]
-    # Overlapping cells repeat pairs; keep one of each, in (source, target) order.
-    all_pairs = np.unique(np.concatenate(cells), axis=0) if cells \
-        else np.empty((0, 2), dtype=np.intp)
-    fine = select_fine_subset(CorrespondenceSet(all_pairs, np.ones(len(all_pairs)), Stage.FINE),
-                              src_low_scores, config.matching.top_fraction)
-    if len(fine) > config.detector.fine_samples:
-        # the subset is already ordered by descending weight, ties by source index
-        cap = config.detector.fine_samples
-        fine = CorrespondenceSet(fine.pairs[:cap], fine.weights[:cap], Stage.FINE)
-    timings["fine_match_ms"] = (time.perf_counter() - tick) * 1e3
-
-    tick = time.perf_counter()
-    if len(fine) < 3:
-        raise _stage_error(DegenerateGeometryError(
-            f"only {len(fine)} fine correspondences"), Stage.FINE)
-    if not fine.weights.any():
-        raise _stage_error(DegenerateGeometryError(
-            f"all {len(fine)} fine correspondences have zero weight"), Stage.FINE)
-    try:
-        transform = weighted_svd(source.points[fine.pairs[:, 0]],
-                                 target.points[fine.pairs[:, 1]], fine.weights)
-    except DegenerateGeometryError as exc:
-        raise _stage_error(exc, Stage.FINE)
-    timings["svd_ms"] = (time.perf_counter() - tick) * 1e3
-    timings["total_ms"] = (time.perf_counter() - t_start) * 1e3
-
-    return RegistrationResult(
-        transform=transform,
-        coarse_transform=coarse_transform,
-        coarse=coarse,
-        fine=fine,
-        inlier_count=int(inlier_mask.sum()),
-        iterations_used=iterations,
-        timings_ms=timings,
-        source_keypoints=kp_src,
-        target_keypoints=kp_tgt,
-    )
+        exc.stage = stage.value
+        exc.args = (f"{stage.value} stage: {exc}",) + exc.args[1:]
+        raise
+    timings |= matched.timings_ms | fine_timings
+    _lap(timings, "total_ms", t_start)
+    return RegistrationResult(transform, matched.transform, matched.correspondences, fine,
+                              int(matched.inlier_mask.sum()), matched.iterations, timings,
+                              matched.source_keypoints, matched.target_keypoints)

@@ -247,6 +247,12 @@ def _negative_terms(rows, d_n: np.ndarray, sum_p: np.ndarray, params: CircleLoss
     return sum_n, _weights(rows, dl_dn, d_n, out)
 
 
+def _check_integers(sets) -> None:
+    """Raise ``ValidationError`` for a nonempty sample set not of integers."""
+    if any(s.size and s.dtype.kind not in "iu" for s in sets):
+        raise ValidationError("sample indices must be integers")
+
+
 @dataclass(frozen=True)
 class _FlatSets:
     """Index arrays of several slots flattened CSR-style: slot ``s`` owns rows
@@ -260,6 +266,7 @@ class _FlatSets:
 
     @classmethod
     def of(cls, sets, n_targets: int) -> "_FlatSets":
+        _check_integers(sets)
         counts = np.array([s.size for s in sets], dtype=np.intp)
         offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
         targets = np.concatenate(sets).astype(np.intp, copy=False)
@@ -363,8 +370,10 @@ class _TileSets:
 
     @classmethod
     def of(cls, sets, n_targets: int) -> "_TileSets":
-        """The sets unchecked: ``distances`` checks each block's sets."""
-        return cls(tuple(np.asarray(s, dtype=np.intp) for s in sets), n_targets)
+        """The sets as indices; ``distances`` checks each block's range."""
+        sets = [np.asarray(s) for s in sets]
+        _check_integers(sets)
+        return cls(tuple(s.astype(np.intp, copy=False) for s in sets), n_targets)
 
     def distances(self, f_anchor: np.ndarray, f_tgt: np.ndarray) -> np.ndarray:
         """Exact feature distance of every (slot, target) cell, with the
@@ -463,6 +472,8 @@ def _sample_features(source_features, target_features,
     if f_src.shape[1] != f_tgt.shape[1]:
         raise ValidationError("source/target feature dimensions differ")
     anchors = batch.anchors
+    if len(anchors) and anchors.dtype.kind not in "iu":
+        raise ValidationError("anchors must be integers")
     if len(anchors) and not 0 <= anchors.min() <= anchors.max() < len(f_src):
         raise ValidationError(f"anchors must lie in [0, {len(f_src)})")
     return f_src, f_tgt

@@ -257,7 +257,7 @@ def test_criterion_6_detector_sanity():
 
     rng = np.random.default_rng(9)
     cloud = PointCloud(rng.uniform(0, 1, size=(50, 3)))
-    keypoints = KeypointSet(indices=np.arange(20), level=Level.HIGH, sample_seed=0)
+    keypoints = KeypointSet(indices=np.arange(20))
     value = repeatability(keypoints, keypoints, cloud, cloud,
                           RigidTransform.identity(), radius=0.1)
     assert value == 1.0

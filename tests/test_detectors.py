@@ -430,4 +430,4 @@ class TestSampleKeypoints:
 
     def test_unique_indices_enforced(self):
         with pytest.raises(ValidationError):
-            KeypointSet(indices=np.array([1, 1]), level=Level.LOW, sample_seed=0)
+            KeypointSet(indices=np.array([1, 1]))

@@ -24,12 +24,15 @@ from hireg import (
     ValidationError,
     apply_transform,
     build_index,
+    coarse,
     compute_descriptors,
+    describe,
     describe_cloud,
     estimate_normals,
     local_cell_match,
     match_features,
     ransac_transform,
+    refine,
     register,
     rotation_error,
     select_fine_subset,
@@ -69,6 +72,21 @@ def quaternion_fit(src, tgt, weights):
         [2*(q1*q3 - q0*q2), 2*(q2*q3 + q0*q1), q0*q0 - q1*q1 - q2*q2 + q3*q3],
     ])
     return rot, ct - rot @ cs
+
+
+class TestCorrespondenceSet:
+    def test_non_integer_pairs_rejected(self):
+        """A float pair was once truncated: ``[[1.7, 2.2]]`` read as ``[[1, 2]]``."""
+        with pytest.raises(ValidationError, match="pair indices must be integers"):
+            CorrespondenceSet(np.array([[1.7, 2.2]]), [1.0], Stage.FINE)
+        with pytest.raises(ValidationError, match="pair indices must be integers"):
+            CorrespondenceSet(np.array([[1.0, 2.0]]), [1.0], Stage.FINE)
+
+    def test_integer_and_empty_pairs_accepted(self):
+        for pairs in ([[1, 2]], np.array([[1, 2]], dtype=np.uint32)):
+            assert CorrespondenceSet(pairs, [1.0], Stage.FINE).pairs.tolist() == [[1, 2]]
+        empty = CorrespondenceSet(np.empty((0, 2)), np.empty(0), Stage.FINE)
+        assert empty.pairs.shape == (0, 2) and empty.pairs.dtype == np.intp
 
 
 class TestMatchFeatures:
@@ -498,8 +516,35 @@ class TestRegister:
         assert rotation_error(result.transform, scene.transform) < 2.0
         assert translation_error(result.transform, scene.transform) < 0.05
         assert result.inlier_count >= 10
-        assert set(result.timings_ms) >= {"descriptors_ms", "scores_ms", "ransac_ms",
-                                          "fine_match_ms", "svd_ms", "total_ms"}
+        assert list(result.timings_ms) == ["descriptors_ms", "scores_ms", "coarse_match_ms",
+                                           "ransac_ms", "fine_match_ms", "svd_ms", "total_ms"]
+        assert all(ms >= 0 for ms in result.timings_ms.values())
+
+    def test_stages_compose_to_register(self):
+        """``describe`` of each cloud, ``coarse`` and ``refine`` called one by
+        one give ``register``'s result bit for bit."""
+        scene = generate_scene(SceneSpec(shape="room", n_points=2000, overlap=0.7, seed=7))
+        config = RunConfig(seed=7)
+        result = register(scene.source, scene.target, config)
+        src = describe(scene.source, config.descriptor)
+        tgt = describe(scene.target, config.descriptor)
+        matched = coarse(src, tgt, config)
+        transform, fine, timings = refine(src, tgt, matched, config)
+
+        def bits(*arrays):
+            return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+        for got, want in ((transform, result.transform),
+                          (matched.transform, result.coarse_transform)):
+            assert bits(got.rotation, got.translation) == bits(want.rotation, want.translation)
+        for got, want in ((matched.correspondences, result.coarse), (fine, result.fine)):
+            assert got.stage == want.stage
+            assert bits(got.pairs, got.weights) == bits(want.pairs, want.weights)
+        assert len(fine) > 0
+        assert int(matched.inlier_mask.sum()) == result.inlier_count
+        assert matched.iterations == result.iterations_used
+        assert list(matched.timings_ms) + list(timings) == [
+            "scores_ms", "coarse_match_ms", "ransac_ms", "fine_match_ms", "svd_ms"]
 
     def test_zero_overlap_fails_at_coarse_stage(self, rng):
         a = PointCloud(rng.uniform(0, 0.8, size=(400, 3)))

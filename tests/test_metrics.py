@@ -7,7 +7,6 @@ import pytest
 
 from hireg import (
     CorrespondenceSet,
-    Level,
     PointCloud,
     RigidTransform,
     ValidationError,
@@ -195,15 +194,15 @@ class TestFeatureMatchingRecall:
 class TestRepeatability:
     def test_identical_everything(self, rng):
         cloud = PointCloud(rng.uniform(0, 1, size=(30, 3)))
-        kp = KeypointSet(indices=np.arange(10), level=Level.HIGH, sample_seed=0)
+        kp = KeypointSet(indices=np.arange(10))
         value = repeatability(kp, kp, cloud, cloud, RigidTransform.identity(), radius=0.1)
         assert value == 1.0
 
     def test_all_farther_than_radius(self, rng):
         src = PointCloud(rng.uniform(0, 1, size=(10, 3)))
         tgt = PointCloud(rng.uniform(30, 31, size=(10, 3)))
-        kp_s = KeypointSet(indices=np.arange(5), level=Level.HIGH, sample_seed=0)
-        kp_t = KeypointSet(indices=np.arange(5), level=Level.HIGH, sample_seed=0)
+        kp_s = KeypointSet(indices=np.arange(5))
+        kp_t = KeypointSet(indices=np.arange(5))
         assert repeatability(kp_s, kp_t, src, tgt, RigidTransform.identity(), 0.1) == 0.0
 
     def test_constructed_fraction(self, rng):
@@ -212,14 +211,14 @@ class TestRepeatability:
         tgt_pts = src.points.copy()
         tgt_pts[4:] += 10.0
         tgt = PointCloud(tgt_pts)
-        kp = KeypointSet(indices=np.arange(6), level=Level.HIGH, sample_seed=0)
+        kp = KeypointSet(indices=np.arange(6))
         value = repeatability(kp, kp, src, tgt, RigidTransform.identity(), radius=0.05)
         assert value == pytest.approx(4 / 6)
 
     def test_empty_rejected(self, rng):
         cloud = PointCloud(rng.uniform(0, 1, size=(5, 3)))
-        kp = KeypointSet(indices=np.arange(3), level=Level.HIGH, sample_seed=0)
-        empty = KeypointSet(indices=np.empty(0, dtype=int), level=Level.HIGH, sample_seed=0)
+        kp = KeypointSet(indices=np.arange(3))
+        empty = KeypointSet(indices=np.empty(0, dtype=int))
         with pytest.raises(ValidationError):
             repeatability(empty, kp, cloud, cloud, RigidTransform.identity())
 

@@ -305,6 +305,55 @@ class TestAnchorBounds:
                 matchability_labels(f_src, f_tgt, batch, mode)
 
 
+class TestIntegerIndices:
+    """Non-integer anchors and sample indices are rejected where the
+    features are read, not truncated: a set ``[1.5]`` once acted as ``[1]``
+    and an anchor ``0.9`` raised a bare ``IndexError``."""
+
+    @staticmethod
+    def _float_set(rng, mode, sets):
+        batch = make_batch(rng)
+        field = {"positives": "positives",
+                 "negatives": f"{NegativeMode(mode).value}_negatives"}[sets]
+        changed = list(getattr(batch, field))
+        changed[3] = np.array([1.5])
+        batch = replace(batch, **{field: tuple(changed)})
+        return unit_rows(rng, 8, 4), unit_rows(rng, 40, 4), batch
+
+    @staticmethod
+    def _float_anchor(rng):
+        batch = make_batch(rng)
+        anchors = batch.anchors.astype(np.float64)
+        anchors[3] = 0.9
+        return unit_rows(rng, 8, 4), unit_rows(rng, 40, 4), replace(batch, anchors=anchors)
+
+    @pytest.mark.parametrize("sets", ["positives", "negatives"])
+    def test_circle_loss_non_integer_samples(self, rng, sets):
+        for mode in NegativeMode:
+            f_src, f_tgt, batch = self._float_set(rng, mode, sets)
+            with pytest.raises(ValidationError, match="sample indices must be integers"):
+                circle_loss(f_src, f_tgt, batch, mode, CircleLossParams())
+
+    @pytest.mark.parametrize("sets", ["positives", "negatives"])
+    def test_matchability_labels_non_integer_samples(self, rng, sets):
+        for mode in NegativeMode:
+            f_src, f_tgt, batch = self._float_set(rng, mode, sets)
+            with pytest.raises(ValidationError, match="sample indices must be integers"):
+                matchability_labels(f_src, f_tgt, batch, mode)
+
+    def test_circle_loss_float_anchor(self, rng):
+        f_src, f_tgt, batch = self._float_anchor(rng)
+        for mode in NegativeMode:
+            with pytest.raises(ValidationError, match="anchors must be integers"):
+                circle_loss(f_src, f_tgt, batch, mode, CircleLossParams())
+
+    def test_matchability_labels_float_anchor(self, rng):
+        f_src, f_tgt, batch = self._float_anchor(rng)
+        for mode in NegativeMode:
+            with pytest.raises(ValidationError, match="anchors must be integers"):
+                matchability_labels(f_src, f_tgt, batch, mode)
+
+
 class TestMatchability:
     def test_identical_positive_gives_one(self):
         batch = SampleBatch(
