@@ -139,11 +139,11 @@ def _bench_pair(entry: dict, config: RunConfig, samples: int, pair_id: str):
     )
 
 
-def _parse_bench_spec(spec, source: str) -> tuple[list[dict], list[int] | None]:
-    """The pair entries and the optional sample counts of a decoded spec.
-
-    Only the document's shape is checked here; a bad entry fails as its pair.
-    """
+def _parse_bench_spec(spec, source: str,
+                      flag: list[int] | None = None) -> tuple[list[dict], list[int] | None]:
+    """The pair entries of a decoded spec and its optional sample counts, or
+    ``flag``'s if given (``--samples``). Only the document's shape and the
+    counts are checked here, before any pair runs; a bad entry fails as its pair."""
     if not isinstance(spec, dict):
         raise ValidationError(f"{source}: benchmark spec must be an object, "
                               f"got {type(spec).__name__}")
@@ -156,7 +156,7 @@ def _parse_bench_spec(spec, source: str) -> tuple[list[dict], list[int] | None]:
                                   f"got {type(entry).__name__}")
         if not isinstance(entry.get("id", ""), str):
             raise ValidationError(f"{source}: pair {i} id must be a string")
-    samples = spec.get("samples")
+    samples, source = (flag, "--samples") if flag else (spec.get("samples"), source)
     if samples is not None and not (
             isinstance(samples, list) and samples
             and all(type(count) is int and count >= 1 for count in samples)):
@@ -167,8 +167,8 @@ def _parse_bench_spec(spec, source: str) -> tuple[list[dict], list[int] | None]:
 def cmd_bench(args) -> int:
     workers = _threads()
     config = _load_run_config(args)
-    entries, samples = _parse_bench_spec(io.load_json(args.spec), args.spec)
-    samples = args.samples or samples or [config.detector.coarse_samples]
+    entries, samples = _parse_bench_spec(io.load_json(args.spec), args.spec, args.samples)
+    samples = samples or [config.detector.coarse_samples]
 
     blocks: dict[int, list] = {}
     failures: list[dict] = []

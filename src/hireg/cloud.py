@@ -1,6 +1,9 @@
 """Point cloud and rigid transform primitives, a spatial index, and the
 worker pool the kernels share.
 
+``index_array`` checks the point indices a caller passes, and the value
+types store their arrays as ``frozen`` (read-only) copies.
+
 Everything here is immutable after construction and safe to share across
 threads. The spatial index memoises one read-only neighbour graph per radius
 and one self k-NN per k, pure functions of (cloud, radius) and (cloud, k):
@@ -106,6 +109,32 @@ def real_array(value, name: str) -> np.ndarray:
     return array.astype(np.float64, copy=False)
 
 
+def index_array(value, name: str, size: int | None = None) -> np.ndarray:
+    """``value`` as an intp array of indices into ``size`` items. Input that
+    is not integers (bools and floats included) and an index outside ``[0,
+    size)``, or a negative one when ``size`` is None, raise ValidationError."""
+    try:
+        array = np.asarray(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be integers: {exc}") from exc
+    if array.size and array.dtype.kind not in "iu":
+        raise ValidationError(f"{name} must be integers")
+    array = array.astype(np.intp, copy=False)  # a uint64 past intp turns negative
+    # read unsigned, a negative index lies past any size
+    if array.size and size is not None and array.view(np.uintp).max() >= size:
+        raise ValidationError(f"{name} must lie in [0, {size})")
+    if array.size and size is None and array.min() < 0:
+        raise ValidationError(f"{name} must be nonnegative")
+    return array
+
+
+def frozen(array: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``array``, which no later write to ``array`` reaches."""
+    array = array.copy()
+    array.setflags(write=False)
+    return array
+
+
 def _as_points(array: np.ndarray) -> np.ndarray:
     pts = real_array(array, "points")
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -126,15 +155,12 @@ def _as_vector3(value, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """An ordered set of 3D points (meters) with an opaque id label."""
+    """An ordered set of 3D points (meters)."""
 
     points: np.ndarray
-    cloud_id: str = ""
 
     def __post_init__(self):
-        pts = _as_points(self.points).copy()
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", frozen(_as_points(self.points)))
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -160,13 +186,9 @@ class RigidTransform:
             raise ValidationError("rotation is not orthonormal within tolerance")
         if abs(np.linalg.det(rot) - 1.0) > ROTATION_TOL:
             raise ValidationError("rotation determinant is not +1 within tolerance")
-        trans = _as_vector3(self.translation, "translation")
-        rot = rot.copy()
-        rot.setflags(write=False)
-        trans = trans.copy()
-        trans.setflags(write=False)
-        object.__setattr__(self, "rotation", rot)
-        object.__setattr__(self, "translation", trans)
+        object.__setattr__(self, "rotation", frozen(rot))
+        object.__setattr__(self, "translation",
+                           frozen(_as_vector3(self.translation, "translation")))
 
     @staticmethod
     def identity() -> "RigidTransform":
@@ -181,7 +203,7 @@ def transform_points(points: np.ndarray, transform: RigidTransform) -> np.ndarra
 def apply_transform(cloud: PointCloud, transform: RigidTransform) -> PointCloud:
     """Return a new cloud with every point rotated then translated."""
     _require_nonempty(cloud)
-    return PointCloud(transform_points(cloud.points, transform), cloud.cloud_id)
+    return PointCloud(transform_points(cloud.points, transform))
 
 
 def compose(first: RigidTransform, second: RigidTransform) -> RigidTransform:

@@ -20,8 +20,8 @@ from enum import Enum
 import numpy as np
 from scipy import sparse
 
-from .cloud import (NeighborGraph, PointCloud, SpatialIndex, index_for, map_chunks,
-                    member_distances, real_array)
+from .cloud import (NeighborGraph, PointCloud, SpatialIndex, frozen, index_array, index_for,
+                    map_chunks, member_distances, real_array)
 from .errors import ValidationError
 
 _UNIT_TOL = 1e-6
@@ -100,9 +100,7 @@ class DescriptorSet:
         bad = ~((np.abs(norms - 1.0) <= _UNIT_TOL) | (norms <= _UNIT_TOL))
         if bad.any():
             raise ValidationError("descriptor rows must be unit length or zero")
-        vec = vec.copy()
-        vec.setflags(write=False)
-        object.__setattr__(self, "vectors", vec)
+        object.__setattr__(self, "vectors", frozen(vec))
         object.__setattr__(self, "level", Level(self.level))
 
     @property
@@ -426,9 +424,7 @@ def compute_descriptors(cloud: PointCloud, level: Level, params: DescriptorParam
         raise ValidationError("centers apply to the low level only")
     graph = index.neighbor_graph(params.radius(level))
     if centers is not None:
-        centers = np.asarray(centers, dtype=np.intp).reshape(-1)
-        if centers.size and not (0 <= centers.min() and centers.max() < len(cloud)):
-            raise ValidationError("centers index outside the cloud")
+        centers = index_array(centers, "centers", len(cloud)).reshape(-1)
         graph = graph.rows(centers)
     features = _angular_histograms(cloud.points, normals, graph, params.bins, full_pairs=low,
                                    rings=params.low_rings if low else 1,

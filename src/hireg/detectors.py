@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cloud import PointCloud, SpatialIndex, index_for, map_chunks
+from .cloud import PointCloud, SpatialIndex, frozen, index_array, index_for, map_chunks
 from .descriptors import DescriptorSet, Level
 from .errors import DegenerateScoreError, ValidationError
 
@@ -45,15 +45,9 @@ class ScoreSet:
         for name, arr in (("matchability", match), ("overlap", over)):
             if not np.isfinite(arr).all() or (arr < 0).any() or (arr > 1).any():
                 raise ValidationError(f"{name} scores must be finite and in [0, 1]")
-        match = match.copy()
-        match.setflags(write=False)
-        over = over.copy()
-        over.setflags(write=False)
-        detection = match * over
-        detection.setflags(write=False)
-        object.__setattr__(self, "matchability", match)
-        object.__setattr__(self, "overlap", over)
-        object.__setattr__(self, "detection", detection)
+        object.__setattr__(self, "matchability", frozen(match))
+        object.__setattr__(self, "overlap", frozen(over))
+        object.__setattr__(self, "detection", frozen(match * over))
         object.__setattr__(self, "level", Level(self.level))
 
     def __len__(self) -> int:
@@ -72,12 +66,10 @@ class KeypointSet:
     shortfall: int = 0
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.intp).reshape(-1)
+        idx = index_array(self.indices, "keypoint indices").reshape(-1)
         if np.unique(idx).size != idx.size:
             raise ValidationError("keypoint indices must be unique")
-        idx = idx.copy()
-        idx.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "indices", frozen(idx))
 
     def __len__(self) -> int:
         return self.indices.shape[0]

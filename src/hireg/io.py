@@ -49,7 +49,7 @@ def load_xyz(path) -> PointCloud:
             raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     if not rows:
         raise ValidationError(f"{path}: no points found")
-    return PointCloud(np.asarray(rows), cloud_id=Path(path).stem)
+    return PointCloud(np.asarray(rows))
 
 
 def save_ply(path, cloud: PointCloud) -> None:
@@ -114,7 +114,7 @@ def load_ply(path) -> PointCloud:
         raise ValidationError(f"{path}: expected {count} vertices, found {len(rows)}")
     if not rows:
         raise ValidationError(f"{path}: no points found")
-    return PointCloud(np.asarray(rows), cloud_id=Path(path).stem)
+    return PointCloud(np.asarray(rows))
 
 
 def load_cloud(path) -> PointCloud:

@@ -32,6 +32,8 @@ from .cloud import (
     RigidTransform,
     SpatialIndex,
     build_index,
+    frozen,
+    index_array,
     real_array,
     transform_points,
 )
@@ -74,23 +76,14 @@ class CorrespondenceSet:
     stage: Stage
 
     def __post_init__(self):
-        pairs = np.asarray(self.pairs)
-        if pairs.size and pairs.dtype.kind not in "iu":
-            raise ValidationError("pair indices must be integers")
-        pairs = pairs.astype(np.intp, copy=False).reshape(-1, 2)
+        pairs = index_array(self.pairs, "pair indices").reshape(-1, 2)
         weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
         if pairs.shape[0] != weights.shape[0]:
             raise ValidationError("pairs and weights lengths differ")
         if not np.isfinite(weights).all() or (weights < 0).any():
             raise ValidationError("weights must be finite and nonnegative")
-        if (pairs < 0).any():
-            raise ValidationError("pair indices must be nonnegative")
-        pairs = pairs.copy()
-        pairs.setflags(write=False)
-        weights = weights.copy()
-        weights.setflags(write=False)
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "pairs", frozen(pairs))
+        object.__setattr__(self, "weights", frozen(weights))
         object.__setattr__(self, "stage", Stage(self.stage))
 
     def __len__(self) -> int:
@@ -100,8 +93,7 @@ class CorrespondenceSet:
         """Raise ``ValidationError`` unless every source index is below
         ``sizes[0]`` and, if given, every target index below ``sizes[1]``."""
         for column, (side, size) in enumerate(zip(("source", "target"), sizes)):
-            if len(self) and self.pairs[:, column].max() >= size:
-                raise ValidationError(f"{side} indices must lie in [0, {size})")
+            index_array(self.pairs[:, column], f"{side} indices", size)
 
 
 @dataclass(frozen=True)
@@ -390,9 +382,8 @@ def local_cell_match(source_index: SpatialIndex, target_index: SpatialIndex,
     n_src, n_tgt = len(source_index.cloud), len(target_index.cloud)
     if len(source_low) != n_src or (target_rows is None and len(target_low) != n_tgt):
         raise ValidationError("low-level descriptors must match their indexed clouds")
-    src_anchor, tgt_anchor = int(coarse_pair[0]), int(coarse_pair[1])
-    if not (0 <= src_anchor < n_src and 0 <= tgt_anchor < n_tgt):
-        raise ValidationError(f"coarse pair {coarse_pair} indexes outside the clouds")
+    src_anchor = int(index_array(coarse_pair[0], "coarse_pair[0]", n_src))
+    tgt_anchor = int(index_array(coarse_pair[1], "coarse_pair[1]", n_tgt))
     src_cell = source_index.neighbor_graph(cell_radius).row(src_anchor)
     tgt_cell = target_index.neighbor_graph(cell_radius).row(tgt_anchor)
     tgt_at = tgt_cell

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .cloud import PointCloud, RigidTransform, build_index, transform_points
+from .cloud import PointCloud, RigidTransform, build_index, index_array, transform_points
 from .detectors import KeypointSet
 from .errors import ValidationError
 from .matching import CorrespondenceSet
@@ -64,8 +64,10 @@ def repeatability(source_keypoints: KeypointSet, target_keypoints: KeypointSet,
         raise ValidationError("radius must be positive")
     if len(source_keypoints) == 0 or len(target_keypoints) == 0:
         raise ValidationError("keypoint sets must be nonempty")
-    aligned = transform_points(source.points[source_keypoints.indices], ground_truth)
-    kp_cloud = PointCloud(target.points[target_keypoints.indices])
+    src_idx = index_array(source_keypoints.indices, "source keypoints", len(source))
+    tgt_idx = index_array(target_keypoints.indices, "target keypoints", len(target))
+    aligned = transform_points(source.points[src_idx], ground_truth)
+    kp_cloud = PointCloud(target.points[tgt_idx])
     nearest, _ = build_index(kp_cloud).knn_batch(aligned, 1)
     return float(np.mean(nearest.reshape(-1) <= radius))
 

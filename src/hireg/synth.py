@@ -158,7 +158,7 @@ def generate_scene(spec: SceneSpec) -> SyntheticScene:
     """
     rng = np.random.default_rng(spec.seed)
     src_points = _scene_points(spec.shape, spec.n_points, rng)
-    source = PointCloud(src_points, cloud_id=f"{spec.shape}-{spec.seed}-src")
+    source = PointCloud(src_points)
     gt = spec.transform if spec.transform is not None else _random_transform(rng)
 
     n = spec.n_points
@@ -180,7 +180,7 @@ def generate_scene(spec: SceneSpec) -> SyntheticScene:
             lo = tgt_points.min(axis=0) - 0.1
             hi = tgt_points.max(axis=0) + 0.1
             tgt_points = np.vstack([tgt_points, rng.uniform(lo, hi, size=(n_outliers, 3))])
-        target = PointCloud(tgt_points, cloud_id=f"{spec.shape}-{spec.seed}-tgt")
+        target = PointCloud(tgt_points)
 
         measured = measured_overlap(source, target, gt, spec.overlap_radius)
         if abs(measured - spec.overlap) <= _OVERLAP_SLACK:

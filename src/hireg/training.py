@@ -61,7 +61,8 @@ from enum import Enum
 import numpy as np
 from scipy import sparse
 
-from .cloud import PointCloud, RigidTransform, build_index, map_chunks, transform_points
+from .cloud import (PointCloud, RigidTransform, build_index, index_array, map_chunks,
+                    transform_points)
 from .descriptors import DescriptorSet, feature_matrix
 from .errors import (
     DegenerateBatchError,
@@ -247,12 +248,6 @@ def _negative_terms(rows, d_n: np.ndarray, sum_p: np.ndarray, params: CircleLoss
     return sum_n, _weights(rows, dl_dn, d_n, out)
 
 
-def _check_integers(sets) -> None:
-    """Raise ``ValidationError`` for a nonempty sample set not of integers."""
-    if any(s.size and s.dtype.kind not in "iu" for s in sets):
-        raise ValidationError("sample indices must be integers")
-
-
 @dataclass(frozen=True)
 class _FlatSets:
     """Index arrays of several slots flattened CSR-style: slot ``s`` owns rows
@@ -266,12 +261,9 @@ class _FlatSets:
 
     @classmethod
     def of(cls, sets, n_targets: int) -> "_FlatSets":
-        _check_integers(sets)
         counts = np.array([s.size for s in sets], dtype=np.intp)
         offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
-        targets = np.concatenate(sets).astype(np.intp, copy=False)
-        if targets.size and not 0 <= targets.min() <= targets.max() < n_targets:
-            raise ValidationError(f"sample indices must lie in [0, {n_targets})")
+        targets = np.concatenate([index_array(s, "sample indices", n_targets) for s in sets])
         slots = np.repeat(np.arange(len(sets), dtype=np.intp), counts)
         return cls(offsets, slots, targets, n_targets)
 
@@ -372,7 +364,8 @@ class _TileSets:
     def of(cls, sets, n_targets: int) -> "_TileSets":
         """The sets as indices; ``distances`` checks each block's range."""
         sets = [np.asarray(s) for s in sets]
-        _check_integers(sets)
+        if any(s.size and s.dtype.kind not in "iu" for s in sets):
+            raise ValidationError("sample indices must be integers")
         return cls(tuple(s.astype(np.intp, copy=False) for s in sets), n_targets)
 
     def distances(self, f_anchor: np.ndarray, f_tgt: np.ndarray) -> np.ndarray:
@@ -471,11 +464,7 @@ def _sample_features(source_features, target_features,
     f_tgt = feature_matrix(target_features)
     if f_src.shape[1] != f_tgt.shape[1]:
         raise ValidationError("source/target feature dimensions differ")
-    anchors = batch.anchors
-    if len(anchors) and anchors.dtype.kind not in "iu":
-        raise ValidationError("anchors must be integers")
-    if len(anchors) and not 0 <= anchors.min() <= anchors.max() < len(f_src):
-        raise ValidationError(f"anchors must lie in [0, {len(f_src)})")
+    index_array(batch.anchors, "anchors", len(f_src))
     return f_src, f_tgt
 
 
@@ -569,13 +558,11 @@ def keypoint_rankings(high_bits, low_bits) -> tuple[np.ndarray, np.ndarray]:
 def rating_loss(scores, rankings, targets: TargetScores) -> tuple[float, np.ndarray]:
     """Mean squared error between predicted scores and rank target scores."""
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
-    rankings = np.asarray(rankings).reshape(-1)
+    rankings = index_array(rankings, "rankings", 4).reshape(-1)
     if scores.shape != rankings.shape:
         raise ValidationError("scores and rankings must have equal length")
     if scores.size < 1:
         raise ValidationError("need at least one sample")
-    if not np.isin(rankings, (0, 1, 2, 3)).all():
-        raise ValidationError("rankings must be integers in 0..3")
     if not np.isfinite(scores).all():
         raise ValidationError("scores contain NaN or Inf")
     residual = scores - targets.as_array()[rankings]

@@ -77,7 +77,7 @@ def test_centers_are_checked(dense):
     with pytest.raises(ValidationError, match="low level only"):
         compute_descriptors(pc, Level.HIGH, params, normals, index, centers=[0])
     for centers in ([-1], [len(pc)]):
-        with pytest.raises(ValidationError, match="outside the cloud"):
+        with pytest.raises(ValidationError, match=rf"centers must lie in \[0, {len(pc)}\)"):
             compute_descriptors(pc, Level.LOW, params, normals, index, centers=centers)
 
 

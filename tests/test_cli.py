@@ -542,6 +542,22 @@ class TestBenchCommand:
         assert err.startswith(f"error: {path}: {message}")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("samples", [["60", "0"], ["-3"]])
+    def test_bad_samples_flag_exits_one_before_any_pair(self, tmp_path, monkeypatch, capsys,
+                                                       samples):
+        """A count below 1 on the command line is rejected as one in the spec
+        is: before any pair runs, so ``--keep-going`` cannot run the good
+        counts first."""
+        started = []
+        monkeypatch.setattr(cli, "_bench_pair", lambda *args: started.append(args))
+        spec = self._spec_file(tmp_path, n_pairs=1)
+        out = tmp_path / "report.json"
+        assert main(["bench", "--spec", str(spec), "--samples", *samples, "--keep-going",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: --samples: samples must be a nonempty list of integers >= 1\n")
+        assert started == [] and not out.exists()
+
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
     def test_bad_threads_value_exits_one(self, tmp_path, capsys, monkeypatch, value):
         monkeypatch.setenv("HIREG_THREADS", value)

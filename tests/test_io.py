@@ -14,7 +14,7 @@ from conftest import random_transform
 
 @pytest.fixture
 def cloud(rng):
-    return PointCloud(rng.uniform(-5, 5, size=(37, 3)), cloud_id="probe")
+    return PointCloud(rng.uniform(-5, 5, size=(37, 3)))
 
 
 class TestXyz:
@@ -56,7 +56,6 @@ class TestPly:
         io.save_ply(path, cloud)
         back = io.load_ply(path)
         np.testing.assert_allclose(back.points, cloud.points, rtol=1e-8)
-        assert back.cloud_id == "c"
 
     def test_header_structure(self, tmp_path, cloud):
         path = tmp_path / "c.ply"

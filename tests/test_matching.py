@@ -396,7 +396,10 @@ class TestLocalCellMatch:
         target = PointCloud(np.zeros((1, 3)))
         descs_s = DescriptorSet(Level.LOW, unit_rows(rng, 2, 4))
         descs_t = DescriptorSet(Level.LOW, unit_rows(rng, 1, 4))
-        with pytest.raises(ValidationError, match="outside the clouds"):
+        side = 0 if pair[0] != 0 else 1  # the one index outside its cloud
+        bound = (len(source), len(target))[side]
+        with pytest.raises(ValidationError,
+                           match=rf"coarse_pair\[{side}\] must lie in \[0, {bound}\)"):
             local_cell_match(build_index(source), build_index(target), pair, descs_s, descs_t,
                              cell_radius=0.1)
 
